@@ -15,17 +15,13 @@ import sys
 import numpy as np
 
 from .discrete import block_assign_columns, jitter_correct_rows
-from .experiment import ExperimentConfig, load_config, parse_angle, run_experiment
+from .experiment import _axis, load_config, parse_angle, run_experiment
 from .fileio import read_image, write_image
 from .flows import FlowParams, evolve
-from .grid import Axis, ScalarField
+from .grid import ScalarField
 from .metrics import metrics
 from .tomo import Sinogram, default_offsets, fbp, radon, radon_perturbed, sample_uniform_displacement, shepp_logan
 from .varsolve import EnergyParams, iterate
-
-
-def _axis(text: str) -> Axis:
-    return Axis.X1 if text.upper() in ("X1", "0") else Axis.X2
 
 
 def _angles_for(field: ScalarField, angle_step: float | None) -> np.ndarray:

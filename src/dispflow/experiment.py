@@ -296,7 +296,7 @@ def _run_tomo_experiment(cfg: ExperimentConfig, outdir: str) -> MetricReport:
         with open(os.path.join(outdir, "displacement.csv"), "w") as fh:
             fh.write("index,displacement\n")
             for i, d in enumerate(pert.d):
-                fh.write(f"{i},{d!r}\n")
+                fh.write(f"{i},{float(d)!r}\n")
     else:
         sino = radon(ph, angles)
     write_csv(os.path.join(outdir, "sinogram.csv"), sino.field)

@@ -12,6 +12,7 @@ varies in the x1 direction.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -153,7 +154,6 @@ def evolve(
     stop_residual: float | None = None,
     max_steps: int = 10_000_000,
     max_change: float | None = 0.05,
-    backtrack: float | None = None,
 ) -> FlowState:
     """Forward-Euler integration from t=0 to t_end.
 
@@ -161,27 +161,19 @@ def evolve(
     place of the stability bound when given, and the
     per-step ||rhs||_inf series is recorded.  Stops early once the residual
     drops below stop_residual (if given).  A step producing a non-finite
-    field raises StabilityError.
+    field raises StabilityError.  Stopping at max_steps short of t_end
+    emits a RuntimeWarning that gives the time reached.
 
     max_change additionally caps each step so no sample moves by more than
     that fraction of the initial dynamic range; the frozen-coefficient CFL
     bound alone can admit huge steps for the saturated p=1 quotient.
-
-    backtrack, if given, enables a residual line search: a step whose new
-    ||rhs||_inf exceeds backtrack times the current one is rejected and
-    retried with half the step (the limiter recovers gradually).  The
-    frozen-coefficient CFL bound is not always sufficient for the k=2
-    flows, whose mobility stiffens with the solution.
     """
     if not np.isfinite(t_end) and stop_residual is None:
         raise FlowError("t_end must be finite unless stop_residual is set")
     if t_end < 0:
         raise FlowError("t_end must be non-negative")
-    if backtrack is not None and backtrack <= 1.0:
-        raise FlowError("backtrack factor must exceed 1")
     state = FlowState(u=u0)
     u0range = float(np.max(u0.values) - np.min(u0.values))
-    limiter = 1.0  # multiplicative dt safety factor driven by backtracking
     while state.t < t_end and state.steps < max_steps:
         try:
             rhs = flow_rhs(state.u, params)
@@ -195,33 +187,23 @@ def evolve(
         if stop_residual is not None and res <= stop_residual:
             break
         base_dt = dt_override if dt_override is not None else stable_dt(state.u, params)
-        dt = min(base_dt * limiter, t_end - state.t)
+        dt = min(base_dt, t_end - state.t)
         if max_change is not None and res > 0 and u0range > 0:
             dt = min(dt, max_change * u0range / res)
-        while True:
-            new_values = state.u.values + dt * rhs.values
-            if not np.all(np.isfinite(new_values)):
-                raise StabilityError(
-                    f"non-finite field after step {state.steps} (dt={dt:g})"
-                )
-            if backtrack is None:
-                break
-            try:
-                new_res = norm_linf(flow_rhs(state.u.with_values(new_values), params))
-            except GridError:
-                new_res = np.inf
-            if new_res <= backtrack * max(res, DT_FLOOR):
-                limiter = min(limiter * 1.1, 1.0)
-                break
-            dt *= 0.5
-            limiter *= 0.5
-            if dt < DT_FLOOR * max(state.t, 1.0):
-                raise StabilityError(
-                    f"step size collapsed at step {state.steps} "
-                    f"(residual {res:g} will not decrease)"
-                )
+        new_values = state.u.values + dt * rhs.values
+        if not np.all(np.isfinite(new_values)):
+            raise StabilityError(
+                f"non-finite field after step {state.steps} (dt={dt:g})"
+            )
         state.u = state.u.with_values(new_values)
         state.t += dt
         state.steps += 1
         state.last_dt = dt
+    if state.steps >= max_steps and state.t < t_end:
+        warnings.warn(
+            f"evolve stopped at max_steps={max_steps}: "
+            f"t = {state.t:.6g} of t_end = {t_end:.6g}",
+            RuntimeWarning,
+            stacklevel=2,
+        )
     return state

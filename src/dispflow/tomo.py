@@ -133,31 +133,15 @@ def default_offsets(n: int, n_offsets: int | None = None) -> np.ndarray:
     return np.linspace(-half, half, n_offsets)
 
 
-def _bilinear(img: np.ndarray, x: np.ndarray, y: np.ndarray, n: int) -> np.ndarray:
-    """Sample img at physical points (x, y) in [-1,1]^2; zero outside."""
-    h = 2.0 / n
-    fx = (x + 1.0) / h - 0.5
-    fy = (y + 1.0) / h - 0.5
-    i0 = np.floor(fx).astype(np.int64)
-    j0 = np.floor(fy).astype(np.int64)
-    tx = fx - i0
-    ty = fy - j0
-    out = np.zeros(x.shape)
-    for di, dj, wgt in (
-        (0, 0, (1 - tx) * (1 - ty)),
-        (1, 0, tx * (1 - ty)),
-        (0, 1, (1 - tx) * ty),
-        (1, 1, tx * ty),
-    ):
-        ii = i0 + di
-        jj = j0 + dj
-        ok = (ii >= 0) & (ii < n) & (jj >= 0) & (jj < n)
-        out[ok] += wgt[ok] * img[ii[ok], jj[ok]]
-    return out
-
-
 def _project(f: ScalarField, angles: np.ndarray, offsets: np.ndarray) -> np.ndarray:
-    """Ray-driven line integrals with bilinear interpolation."""
+    """Ray-driven line integrals with bilinear interpolation; zero outside
+    the image.
+
+    Each angle samples a zero-padded copy of the image through flat indices,
+    so a neighbour outside [-1, 1]^2 reads 0.0 and no bounds mask is needed.
+    A sample at offset l and ray parameter |t| <= sqrt(2) satisfies
+    |x|, |y| <= hypot(l, t), and the pad keeps all four neighbours of every
+    such point inside the padded copy."""
     n = f.n1
     half = math.sqrt(2.0)
     step = 1.0 / n  # half a pixel
@@ -167,11 +151,35 @@ def _project(f: ScalarField, angles: np.ndarray, offsets: np.ndarray) -> np.ndar
     rows = np.empty((len(angles), len(offsets)))
     wgt = np.full(nt, h)
     wgt[0] = wgt[-1] = 0.5 * h  # trapezoid rule
+
+    px = 2.0 / n
+    reach = math.hypot(float(np.max(np.abs(offsets))), half)
+    pad = math.ceil((reach - 1.0) / px) + 2
+    m = n + 2 * pad
+    padded = np.zeros((m, m))
+    padded[pad : pad + n, pad : pad + n] = f.values
+    flat = padded.ravel()
     for j, th in enumerate(angles):
         c, s = math.cos(th), math.sin(th)
         x = offsets[:, None] * c - t[None, :] * s
         y = offsets[:, None] * s + t[None, :] * c
-        rows[j] = _bilinear(f.values, x, y, n) @ wgt
+        fx = (x + 1.0) / px - 0.5
+        fy = (y + 1.0) / px - 0.5
+        i0 = np.floor(fx)
+        j0 = np.floor(fy)
+        tx = fx - i0
+        ty = fy - j0
+        k = (i0 * m + j0).astype(np.int64)
+        k += pad * m + pad
+        # same weights and summation order as a masked gather, so the
+        # zero padding leaves every sum bitwise unchanged
+        ux = 1 - tx
+        uy = 1 - ty
+        vals = ux * uy * flat.take(k)
+        vals += tx * uy * flat.take(k + m)
+        vals += ux * ty * flat.take(k + 1)
+        vals += tx * ty * flat.take(k + (m + 1))
+        rows[j] = vals @ wgt
     return rows
 
 

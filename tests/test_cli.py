@@ -80,6 +80,15 @@ class TestFlowVerb:
                  f"--out={tmp_path / 'o.csv'}")
         assert rc != 0
 
+    def test_unknown_axis_rejected(self, tmp_path, capsys):
+        src = tmp_path / "in.csv"
+        src.write_text("1,2\n3,4\n")
+        rc = run("flow", f"--in={src}", "--axis=X3", "--t-end=1e-3",
+                 f"--out={tmp_path / 'o.csv'}")
+        assert rc == 1
+        assert capsys.readouterr().err == "dispflow: error: unknown axis 'X3'\n"
+        assert not (tmp_path / "o.csv").exists()
+
 
 class TestVarsolveVerb:
     def test_trace_header(self, tmp_path):

@@ -13,6 +13,8 @@ from dispflow.experiment import (
 from dispflow.fileio import read_csv
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
+GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
+SHIPPED = ["fig1", "fig2", "fig3", "fig4", "fig5", "fig5_discrete", "fig6"]
 
 
 class TestParseAngle:
@@ -31,10 +33,7 @@ class TestParseAngle:
 
 
 class TestLoadConfig:
-    @pytest.mark.parametrize(
-        "name",
-        ["fig1", "fig2", "fig3", "fig4", "fig5", "fig5_discrete", "fig6"],
-    )
+    @pytest.mark.parametrize("name", SHIPPED)
     def test_named_configs_load(self, name):
         cfg = load_config(os.path.join(CONFIG_DIR, f"{name}.cfg"))
         assert cfg.name == name
@@ -148,3 +147,30 @@ class TestRunExperiment:
         pert = sample_uniform_displacement(angles, math.pi / 18, seed=3)
         sino = radon_perturbed(ph, angles, None, pert)
         assert np.allclose(written.values, sino.field.values)
+
+    def test_displacement_csv_parses_to_the_drawn_values(self, tmp_path):
+        from dispflow.tomo import sample_uniform_displacement
+
+        run_experiment(small_tomo_cfg(tmp_path))
+        rows = np.loadtxt(tmp_path / "out" / "displacement.csv", delimiter=",", skiprows=1)
+        drawn = sample_uniform_displacement(np.arange(18), math.pi / 18, seed=3).d
+        assert np.array_equal(rows[:, 0], np.arange(18))
+        assert np.array_equal(rows[:, 1], drawn)
+
+
+def _read_metrics(path):
+    with open(path) as fh:
+        header, *lines = fh.read().strip().split("\n")
+    assert header == "metric,value"
+    return {key: float(value) for key, value in (line.split(",") for line in lines)}
+
+
+@pytest.mark.parametrize("name", SHIPPED)
+def test_shipped_config_matches_golden_metrics(tmp_path, name):
+    """Every shipped config reproduces its recorded metrics.csv."""
+    run_experiment(load_config(os.path.join(CONFIG_DIR, f"{name}.cfg")), str(tmp_path))
+    got = _read_metrics(tmp_path / "metrics.csv")
+    want = _read_metrics(os.path.join(GOLDEN_DIR, f"{name}.csv"))
+    assert got.keys() == want.keys()
+    for key, value in want.items():
+        assert got[key] == pytest.approx(value, rel=1e-7, abs=0.0), key

@@ -161,6 +161,13 @@ class TestEvolve:
         assert st_.residuals[-1] < 0.5 * r0
         assert st_.t < 1e9
 
+    def test_max_steps_short_of_t_end_warns(self):
+        f = smooth_field(9)
+        params = FlowParams(axis=Axis.X1, k=1, p=2, q=2)
+        with pytest.warns(RuntimeWarning, match=r"max_steps=3: t = \S+ of t_end = 0\.0001$"):
+            st_ = evolve(f, params, 1e-4, max_steps=3)
+        assert st_.steps == 3 and st_.t < 1e-4
+
     def test_huge_forced_step_raises(self):
         f = smooth_field(8)
         params = FlowParams(axis=Axis.X1, k=2, p=2, q=2)

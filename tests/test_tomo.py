@@ -8,6 +8,7 @@ from dispflow.tomo import (
     AngularPerturbation,
     Sinogram,
     TomoError,
+    _project,
     default_offsets,
     fbp,
     radon,
@@ -109,6 +110,66 @@ class TestRadon:
     def test_empty_angles_rejected(self):
         with pytest.raises(TomoError):
             radon(ScalarField(np.zeros((16, 16))), np.array([]))
+
+
+def _masked_bilinear(img, x, y, n):
+    """Reference gather: bilinear sample of img at (x, y), zero outside,
+    with an explicit bounds mask per neighbour."""
+    h = 2.0 / n
+    fx = (x + 1.0) / h - 0.5
+    fy = (y + 1.0) / h - 0.5
+    i0 = np.floor(fx).astype(np.int64)
+    j0 = np.floor(fy).astype(np.int64)
+    tx = fx - i0
+    ty = fy - j0
+    out = np.zeros(x.shape)
+    for di, dj, wgt in (
+        (0, 0, (1 - tx) * (1 - ty)),
+        (1, 0, tx * (1 - ty)),
+        (0, 1, (1 - tx) * ty),
+        (1, 1, tx * ty),
+    ):
+        ii = i0 + di
+        jj = j0 + dj
+        ok = (ii >= 0) & (ii < n) & (jj >= 0) & (jj < n)
+        out[ok] += wgt[ok] * img[ii[ok], jj[ok]]
+    return out
+
+
+def _masked_project(f, angles, offsets):
+    """Reference projector on the masked gather (same samples and weights)."""
+    n = f.n1
+    half = math.sqrt(2.0)
+    step = 1.0 / n
+    nt = int(math.ceil(2.0 * half / step)) + 1
+    t = np.linspace(-half, half, nt)
+    h = t[1] - t[0]
+    wgt = np.full(nt, h)
+    wgt[0] = wgt[-1] = 0.5 * h
+    rows = np.empty((len(angles), len(offsets)))
+    for j, th in enumerate(angles):
+        c, s = math.cos(th), math.sin(th)
+        x = offsets[:, None] * c - t[None, :] * s
+        y = offsets[:, None] * s + t[None, :] * c
+        rows[j] = _masked_bilinear(f.values, x, y, n) @ wgt
+    return rows
+
+
+class TestProjectorReference:
+    @pytest.mark.parametrize("n_offsets", [None, 20])
+    @pytest.mark.parametrize("n", [16, 33, 128])
+    def test_padded_gather_equals_masked_gather(self, n, n_offsets):
+        rng = np.random.default_rng(n)
+        f = ScalarField(rng.standard_normal((n, n)), 2.0 / n, 2.0 / n)
+        base = np.arange(12) * math.pi / 12
+        angles = np.concatenate([
+            base + rng.uniform(0.0, math.pi / 18, base.size),
+            [0.0, math.pi / 2, math.pi - 1e-12, math.pi + math.pi / 18],
+            [-1e-3, -math.pi / 4, -math.pi - math.pi / 18],
+        ])
+        offsets = default_offsets(n, n_offsets)
+        new = _project(f, angles, offsets)
+        assert np.array_equal(new, _masked_project(f, angles, offsets))
 
 
 class TestPerturbation:
