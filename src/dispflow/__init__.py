@@ -1,7 +1,7 @@
 """Displacement-error correction via nonlinear flows and convex relaxation,
 with a parallel-beam tomography testbed."""
 
-from .grid import Axis, ScalarField, apply_bc, diff, diff_matrix, norm_l2, norm_linf
+from .grid import Axis, ScalarField, diff, diff_matrix, norm_l2, norm_linf
 from .flows import FlowParams, FlowState, StabilityError, evolve, flow_rhs, stable_dt
 from .varsolve import (
     EnergyParams,
@@ -29,7 +29,6 @@ from .fileio import read_image, write_image
 __all__ = [
     "Axis",
     "ScalarField",
-    "apply_bc",
     "diff",
     "diff_matrix",
     "norm_l2",

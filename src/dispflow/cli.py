@@ -15,7 +15,7 @@ import sys
 import numpy as np
 
 from .discrete import block_assign_columns, jitter_correct_rows
-from .experiment import _axis, load_config, parse_angle, run_experiment
+from .experiment import _axis, _write_residuals, load_config, parse_angle, run_experiment
 from .fileio import read_image, write_image
 from .flows import FlowParams, evolve
 from .grid import ScalarField
@@ -41,7 +41,6 @@ def _add_flow_args(sp):
     sp.add_argument("--p", type=int, default=2)
     sp.add_argument("--q", type=int, default=2)
     sp.add_argument("--beta", type=float, default=1e-6)
-    sp.add_argument("--cfl", type=float, default=0.5)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -73,6 +72,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("flow", help="evolve a field under a nonlinear flow")
     sp.add_argument("--in", dest="infile", required=True)
     _add_flow_args(sp)
+    sp.add_argument("--cfl", type=float, default=0.5)
     sp.add_argument("--t-end", type=float, required=True)
     sp.add_argument("--out", required=True)
     sp.add_argument("--residuals", help="optional CSV of per-step ||rhs||_inf")
@@ -154,10 +154,7 @@ def _dispatch(args) -> int:
         state = evolve(read_image(args.infile), params, args.t_end)
         write_image(args.out, state.u)
         if args.residuals:
-            with open(args.residuals, "w") as fh:
-                fh.write("step,rhs_linf\n")
-                for i, r in enumerate(state.residuals):
-                    fh.write(f"{i},{r!r}\n")
+            _write_residuals(args.residuals, state.residuals)
 
     elif args.verb == "varsolve":
         params = EnergyParams(axis=_axis(args.axis), k=args.k, p=args.p,

@@ -174,31 +174,33 @@ def evolve(
         raise FlowError("t_end must be non-negative")
     state = FlowState(u=u0)
     u0range = float(np.max(u0.values) - np.min(u0.values))
-    while state.t < t_end and state.steps < max_steps:
-        try:
-            rhs = flow_rhs(state.u, params)
-        except GridError as exc:
-            # overflow inside the rhs (e.g. after a wildly unstable step)
-            raise StabilityError(
-                f"non-finite rhs at step {state.steps}: {exc}"
-            ) from exc
-        res = norm_linf(rhs)
-        state.residuals.append(res)
-        if stop_residual is not None and res <= stop_residual:
-            break
-        base_dt = dt_override if dt_override is not None else stable_dt(state.u, params)
-        dt = min(base_dt, t_end - state.t)
-        if max_change is not None and res > 0 and u0range > 0:
-            dt = min(dt, max_change * u0range / res)
-        new_values = state.u.values + dt * rhs.values
-        if not np.all(np.isfinite(new_values)):
-            raise StabilityError(
-                f"non-finite field after step {state.steps} (dt={dt:g})"
-            )
-        state.u = state.u.with_values(new_values)
-        state.t += dt
-        state.steps += 1
-        state.last_dt = dt
+    # overflow in a wildly unstable step surfaces as StabilityError below
+    with np.errstate(over="ignore", invalid="ignore"):
+        while state.t < t_end and state.steps < max_steps:
+            try:
+                rhs = flow_rhs(state.u, params)
+            except GridError as exc:
+                # overflow inside the rhs (e.g. after a wildly unstable step)
+                raise StabilityError(
+                    f"non-finite rhs at step {state.steps}: {exc}"
+                ) from exc
+            res = norm_linf(rhs)
+            state.residuals.append(res)
+            if stop_residual is not None and res <= stop_residual:
+                break
+            base_dt = dt_override if dt_override is not None else stable_dt(state.u, params)
+            dt = min(base_dt, t_end - state.t)
+            if max_change is not None and res > 0 and u0range > 0:
+                dt = min(dt, max_change * u0range / res)
+            new_values = state.u.values + dt * rhs.values
+            if not np.all(np.isfinite(new_values)):
+                raise StabilityError(
+                    f"non-finite field after step {state.steps} (dt={dt:g})"
+                )
+            state.u = state.u.with_values(new_values)
+            state.t += dt
+            state.steps += 1
+            state.last_dt = dt
     if state.steps >= max_steps and state.t < t_end:
         warnings.warn(
             f"evolve stopped at max_steps={max_steps}: "

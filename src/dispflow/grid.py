@@ -136,18 +136,6 @@ def diff(f: ScalarField, axis: Axis, order: int = 1) -> ScalarField:
     return f.with_values(out)
 
 
-def apply_bc(f: ScalarField, axis: Axis, k: int) -> ScalarField:
-    """Ghost-extend the field by k cells of even (symmetric) reflection on
-    the two faces normal to `axis`; odd one-sided differences up to order
-    2k-1 vanish across those faces.  Interior values are untouched."""
-    _check_order(k)
-    _check_size(f, axis, k)
-    pad = [(0, 0), (0, 0)]
-    pad[int(axis)] = (k, k)
-    ext = np.pad(f.values, pad, mode="symmetric")
-    return f.with_values(ext)
-
-
 def norm_l2(f: ScalarField) -> float:
     """Grid-weighted L2 norm: sqrt(sum dx1*dx2*f^2) (midpoint quadrature)."""
     return float(np.sqrt(f.dx1 * f.dx2 * np.sum(f.values**2)))
@@ -155,8 +143,3 @@ def norm_l2(f: ScalarField) -> float:
 
 def norm_linf(f: ScalarField) -> float:
     return float(np.max(np.abs(f.values))) if f.values.size else 0.0
-
-
-def integrate(values: np.ndarray, dx1: float, dx2: float) -> float:
-    """Midpoint-rule integral of a sample array."""
-    return float(dx1 * dx2 * np.sum(values))

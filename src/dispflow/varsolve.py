@@ -20,12 +20,15 @@ import io
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse.linalg import LinearOperator, cg
+from scipy.linalg import solveh_banded
 
 from .grid import Axis, ScalarField, diff, diff_matrix, norm_l2, norm_linf
 
 #: relative slack allowed on the monotonicity checks (solver tolerance)
 MONOTONE_SLACK = 1e-9
+#: p=1 inner fixed point: stop at this relative change, fail after INNER_MAX
+INNER_TOL = 1e-6
+INNER_MAX = 200
 
 
 class SolverError(RuntimeError):
@@ -41,9 +44,6 @@ class EnergyParams:
     alpha: float = 1.0
     eps: float = 1e-3
     beta: float = 1e-6  # smoothing of |s| for p=1
-    cg_tol: float = 1e-10
-    inner_tol: float = 1e-6   # p=1 fixed-point stopping (relative change)
-    inner_max: int = 200
 
     def __post_init__(self):
         if self.k not in (1, 2) or self.p not in (1, 2) or self.q not in (1, 2):
@@ -136,82 +136,50 @@ def fc_energy(u: ScalarField, u_prev: ScalarField, params: EnergyParams) -> floa
     )
 
 
-def _apply_along(mat: np.ndarray, v: np.ndarray, axis: Axis) -> np.ndarray:
-    return mat @ v if axis == Axis.X1 else v @ mat.T
-
-
-def _solve_spd(w, mat, u_prev, params, mob=None):
-    """CG solve of (1/w) u + alpha * D^T diag(mob) D u = u_prev / w.
-
-    D acts along params.axis; mob is the per-pixel diffusivity of the inner
-    p=1 linearization (None means identity, i.e. p=2).
-    """
-    shape = u_prev.shape
-    n = u_prev.size
-    matT = mat.T.copy()
-
-    def apply(x):
-        v = x.reshape(shape)
-        dv = _apply_along(mat, v, params.axis)
-        if mob is not None:
-            dv = mob * dv
-        out = v / w + params.alpha * _apply_along(matT, dv, params.axis)
-        return out.ravel()
-
-    A = LinearOperator((n, n), matvec=apply)
-    b = (u_prev / w).ravel()
-    # Jacobi preconditioner: diagonal of 1/w + alpha * D^T diag(mob) D
-    dsq = (mat * mat).sum(axis=0) if mob is None else None
-    if mob is None:
-        diag_reg = np.ones(shape) * (
-            dsq[:, None] if params.axis == Axis.X1 else dsq[None, :]
-        )
-    else:
-        # diag(D^T M D)_jj = sum_i M_i D_ij^2, with M varying along the axis
-        if params.axis == Axis.X1:
-            diag_reg = np.einsum("ij,ik->kj", mob, mat * mat)
-        else:
-            diag_reg = np.einsum("ji,ik->jk", mob, mat * mat)
-    dinv = 1.0 / (1.0 / w + params.alpha * diag_reg)
-    M = LinearOperator((n, n), matvec=lambda x: (dinv.ravel() * x))
-    x, info = cg(A, b, rtol=params.cg_tol, maxiter=20 * n, M=M, x0=u_prev.ravel())
-    if info != 0:
-        res = np.linalg.norm(apply(x) - b) / np.linalg.norm(b)
-        raise SolverError(f"CG failed to converge (info={info}, residual={res:.3g})")
-    # one defect-correction pass: the optimality-residual checks multiply the
-    # algebraic residual by w/alpha, which can be large
-    r = b - apply(x)
-    if np.linalg.norm(r) > 0:
-        dx_corr, info = cg(A, r, rtol=params.cg_tol, maxiter=20 * n, M=M)
-        if info == 0:
-            x = x + dx_corr
-    return x.reshape(shape)
-
-
 def convex_step(u_prev: ScalarField, params: EnergyParams) -> ScalarField:
-    """Minimizer of the strictly convex surrogate Fc(. ; u_prev)."""
-    axis = params.axis
-    n = u_prev.shape[int(axis)]
-    mat = diff_matrix(n, u_prev.spacing(axis), params.k)
+    """Minimizer of the strictly convex surrogate Fc(. ; u_prev).
+
+    Each line along params.axis solves (1/w) u + alpha * D^T diag(mob) D u
+    = u_prev / w, with D = diff_matrix and mob = 1 for p=2 (the lagged
+    diffusivity of the inner fixed point for p=1).  The lines, laid end to
+    end, form one SPD matrix of half-bandwidth k+1 with no entry coupling
+    two lines, factored by a single banded Cholesky solve.
+    """
+    along_x1 = params.axis == Axis.X1
+    v = u_prev.values.T if along_x1 else u_prev.values  # one line per row
     w = _weight(u_prev, params.q, params.eps)
+    w = w.T if along_x1 else w
+    lines, n = v.shape
+    D = diff_matrix(n, u_prev.spacing(params.axis), params.k)
+    band = params.k + 1
+    rhs = (v / w).ravel()
+
+    def solve(mob):
+        # upper form: row band - s holds (D^T diag(m) D)[j, j+s] in column
+        # j+s, which is m @ (D[:, :n-s] * D[:, s:])[:, j] for each line
+        ab = np.zeros((band + 1, lines, n))
+        for s in range(band + 1):
+            ab[band - s, :, s:] = params.alpha * (mob @ (D[:, : n - s] * D[:, s:]))
+        ab[band] += 1.0 / w
+        return solveh_banded(ab.reshape(band + 1, -1), rhs).reshape(lines, n)
+
     if params.p == 2:
-        out = _solve_spd(w, mat, u_prev.values, params)
+        out = solve(np.ones(n))
     else:
-        out = u_prev.values
+        out = v
         b2 = params.beta**2
-        for _ in range(params.inner_max):
-            g = _apply_along(mat, out, axis)
-            mob = 1.0 / np.sqrt(g * g + b2)
-            new = _solve_spd(w, mat, u_prev.values, params, mob=mob)
+        for _ in range(INNER_MAX):
+            g = out @ D.T
+            new = solve(1.0 / np.sqrt(g * g + b2))
             rel = np.linalg.norm(new - out) / max(np.linalg.norm(out), 1e-300)
             out = new
-            if rel <= params.inner_tol:
+            if rel <= INNER_TOL:
                 break
         else:
             raise SolverError(
                 f"p=1 inner fixed point did not converge (last change {rel:.3g})"
             )
-    return u_prev.with_values(out)
+    return u_prev.with_values(out.T if along_x1 else out)
 
 
 def iterate(

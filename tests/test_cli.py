@@ -89,6 +89,25 @@ class TestFlowVerb:
         assert capsys.readouterr().err == "dispflow: error: unknown axis 'X3'\n"
         assert not (tmp_path / "o.csv").exists()
 
+    def test_residuals_match_experiment(self, tmp_path):
+        cfg = tmp_path / "strip.cfg"
+        cfg.write_text(
+            "[experiment]\ninput = strip\ncorrection = flow\n"
+            f"outdir = {tmp_path / 'exp'}\n"
+            "[image]\nn = 16\nstrip_width = 3\namplitude = 1\ndx1 = 1\ndx2 = 1\n"
+            "[flow]\naxis = X1\nk = 1\np = 2\nq = 2\nt_end = 1\n"
+        )
+        run("experiment", f"--config={cfg}")
+        exp = tmp_path / "exp"
+        res = tmp_path / "res.csv"
+        rc = run("flow", f"--in={exp / 'input.csv'}", "--axis=X1", "--k=1",
+                 "--p=2", "--q=2", "--t-end=1", f"--out={tmp_path / 'o.csv'}",
+                 f"--residuals={res}")
+        assert rc == 0
+        expected = (exp / "flow_residuals.csv").read_bytes()
+        assert len(expected.splitlines()) > 2
+        assert res.read_bytes() == expected
+
 
 class TestVarsolveVerb:
     def test_trace_header(self, tmp_path):
@@ -106,6 +125,13 @@ class TestVarsolveVerb:
         lines = tr.read_text().strip().split("\n")
         assert lines[0] == "m,Fc,R,du_l2,grad_linf"
         assert len(lines) >= 2
+
+    def test_cfl_not_accepted(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run("varsolve", f"--in={tmp_path / 'in.csv'}", "--cfl=0.3",
+                f"--out={tmp_path / 'o.csv'}")
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --cfl=0.3" in capsys.readouterr().err
 
 
 class TestDiscreteVerbs:

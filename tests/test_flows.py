@@ -168,6 +168,7 @@ class TestEvolve:
             st_ = evolve(f, params, 1e-4, max_steps=3)
         assert st_.steps == 3 and st_.t < 1e-4
 
+    @pytest.mark.filterwarnings("error")
     def test_huge_forced_step_raises(self):
         f = smooth_field(8)
         params = FlowParams(axis=Axis.X1, k=2, p=2, q=2)

@@ -8,7 +8,6 @@ from dispflow.grid import (
     Axis,
     GridError,
     ScalarField,
-    apply_bc,
     diff,
     diff_matrix,
     norm_l2,
@@ -117,25 +116,6 @@ class TestDiff:
             assert np.allclose(diff(f, Axis.X1, k).values, mat @ f.values)
             mat2 = diff_matrix(6, 0.5, k)
             assert np.allclose(diff(f, Axis.X2, k).values, f.values @ mat2.T)
-
-
-class TestApplyBC:
-    def test_symmetric_extension_kills_odd_derivatives(self):
-        rng = np.random.default_rng(3)
-        f = ScalarField(rng.standard_normal((8, 8)))
-        for k in (1, 2):
-            ext = apply_bc(f, Axis.X1, k).values
-            # even reflection about the boundary face between ghost and
-            # first interior cell: ghost block mirrors the first k rows
-            assert np.array_equal(ext[:k, :], f.values[:k, :][::-1, :])
-            assert np.array_equal(ext[-k:, :], f.values[-k:, :][::-1, :])
-            assert ext.shape == (8 + 2 * k, 8)
-
-    def test_orthogonal_faces_untouched(self):
-        rng = np.random.default_rng(4)
-        f = ScalarField(rng.standard_normal((8, 8)))
-        ext = apply_bc(f, Axis.X1, 1).values
-        assert np.array_equal(ext[1:-1, :], f.values)
 
 
 class TestNorms:

@@ -1,9 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dispflow.grid import Axis, ScalarField, diff, diff_matrix, norm_l2
+from dispflow.tomo import radon_perturbed, sample_uniform_displacement, shepp_logan
 from dispflow.varsolve import (
     EnergyParams,
     IterTrace,
@@ -96,22 +99,43 @@ class TestConvexStep:
         scale = np.abs(D.T @ D @ u.values).max() * np.abs(w).max()
         assert np.abs(res).max() <= 1e-8 * max(scale, 1.0)
 
-    def test_matches_dense_solve(self):
-        u_prev = bumpy_field(4, n=10)
-        params = EnergyParams(axis=Axis.X1, k=1, p=2, q=2, alpha=1e-3)
+    @pytest.mark.parametrize("axis", list(Axis), ids=lambda a: a.name)
+    @pytest.mark.parametrize("k", [1, 2])
+    @pytest.mark.parametrize("q", [1, 2])
+    def test_matches_dense_solve(self, axis, k, q):
+        # non-square grid with dx1 != dx2, so a wrong line length, spacing
+        # or band layout along either axis shows
+        rng = np.random.default_rng(4)
+        i = np.arange(10) / 10
+        base = np.outer(np.sin(2 * np.pi * i), np.ones(13))
+        u_prev = ScalarField(base + 0.3 * rng.standard_normal((10, 13)), 0.1, 0.07)
+        params = EnergyParams(axis=axis, k=k, p=2, q=q, alpha=1e-3)
         u = convex_step(u_prev, params)
-        D = diff_matrix(10, u_prev.dx1, 1)
-        w = diff(u_prev, Axis.X1, 1).values ** 2 + params.eps
-        for j in range(u_prev.n2):
-            A = np.diag(1.0 / w[:, j]) + params.alpha * (D.T @ D)
-            ref = np.linalg.solve(A, u_prev.values[:, j] / w[:, j])
-            assert np.allclose(u.values[:, j], ref, atol=1e-8)
+        g1 = diff(u_prev, Axis.X1, 1).values
+        w = g1 * g1 + params.eps if q == 2 else np.abs(g1) + params.eps
+        # one line along the axis per row
+        v, out, w = (a.T if axis == Axis.X1 else a for a in (u_prev.values, u.values, w))
+        D = diff_matrix(v.shape[1], u_prev.spacing(axis), k)
+        for j in range(v.shape[0]):
+            A = np.diag(1.0 / w[j]) + params.alpha * (D.T @ D)
+            ref = np.linalg.solve(A, v[j] / w[j])
+            assert np.allclose(out[j], ref, atol=1e-8)
 
     def test_p1_runs_and_reduces_fc(self):
         u_prev = bumpy_field(5, n=12)
         params = EnergyParams(axis=Axis.X1, k=1, p=1, q=2, alpha=1e-3, beta=1e-3)
         u = convex_step(u_prev, params)
         assert fc_energy(u, u_prev, params) <= fc_energy(u_prev, u_prev, params)
+
+    def test_p1_step_on_jittered_sinogram(self):
+        # the fig5 sinogram: 128-pixel phantom, 90 angles, jitter a = pi/18
+        angles = np.arange(90) * math.pi / 90
+        pert = sample_uniform_displacement(angles, math.pi / 18, 7)
+        v = radon_perturbed(shepp_logan(128), angles, None, pert, 0.0, 7).field
+        eps = 1e-3 * float(np.ptp(v.values)) ** 2
+        params = EnergyParams(axis=Axis.X1, k=1, p=1, q=2, alpha=1e-3, eps=eps)
+        u = convex_step(v, params)
+        assert fc_energy(u, v, params) < fc_energy(v, v, params)
 
 
 class TestIterate:
