@@ -19,7 +19,7 @@ import numpy as np
 
 from .discrete import block_assign_columns, jitter_correct_rows
 from .fileio import write_csv, write_image
-from .flows import FlowParams, evolve, flow_rhs
+from .flows import FlowParams, evolve
 from .grid import Axis, ScalarField
 from .metrics import MetricReport, interface_variance, metrics, strip_fwhm
 from .tomo import (

@@ -12,12 +12,13 @@ varies in the x1 direction.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import Axis, GridError, ScalarField, diff, norm_linf
+from .grid import Axis, GridError, ScalarField, diff_axis0
 
 #: hard floor used in the CFL bound so a flat field never divides by zero
 DT_FLOOR = 1e-12
@@ -60,11 +61,24 @@ class FlowState:
     steps: int = 0
     last_dt: float = 0.0
     residuals: list = field(default_factory=list)  # ||rhs||_inf per step
+    truncated: bool = False  # stopped at max_steps short of t_end
 
 
-def _mobility(u: ScalarField, params: FlowParams) -> np.ndarray:
-    g1 = diff(u, Axis.X1, 1).values
-    return np.abs(g1) ** params.q + params.eps
+def _check_shape(shape, params: FlowParams):
+    """The mobility needs 3 samples along X1; the flow stencils need 2 along
+    the flow axis, and the p=1 CFL bound's order-k difference 2k+1."""
+    need = [3, 1]
+    need[params.axis] = max(need[params.axis], 2 * params.k + 1 if params.p == 1 else 2)
+    for axis, n, m in zip(Axis, shape, need):
+        if n < m:
+            raise GridError(
+                f"axis {axis.name} has {n} samples, need at least {m} for the "
+                f"(k={params.k}, p={params.p}) flow along {params.axis.name}"
+            )
+
+
+def _mobility(u: np.ndarray, dx1: float, params: FlowParams) -> np.ndarray:
+    return np.abs(diff_axis0(u, dx1, 1)) ** params.q + params.eps
 
 
 def _quotient(g: np.ndarray, params: FlowParams) -> np.ndarray:
@@ -101,49 +115,59 @@ def _neumann_d2(v: np.ndarray, dx: float) -> np.ndarray:
     return out
 
 
-def flow_rhs(u: ScalarField, params: FlowParams) -> ScalarField:
-    """Right-hand side of the flow evaluated with finite differences.
+def _rhs(u: np.ndarray, mob: np.ndarray, dx: float, params: FlowParams) -> np.ndarray:
+    """Right-hand side on raw arrays, given the mobility of u.
 
     k=1 uses a staggered conservative form (flux at cell faces, divergence
     back to centers), which avoids the odd/even decoupling of composed
     wide central stencils; k=2 composes the self-adjoint reflection-BC
     second difference with itself."""
+    v = u if params.axis == Axis.X1 else u.T
     if params.k == 1:
-        v = u.values if params.axis == Axis.X1 else u.values.T
-        dx = u.spacing(params.axis)
         flux = _quotient(_face_gradient(v, dx), params)
         outer = (flux[1:] - flux[:-1]) / dx
-        if params.axis == Axis.X2:
-            outer = outer.T
         sign = 1.0
     else:
-        v = u.values if params.axis == Axis.X1 else u.values.T
-        dx = u.spacing(params.axis)
         outer = _neumann_d2(_quotient(_neumann_d2(v, dx), params), dx)
-        if params.axis == Axis.X2:
-            outer = outer.T
         sign = -1.0
-    return u.with_values(sign * _mobility(u, params) * outer)
+    if params.axis == Axis.X2:
+        outer = outer.T
+    return sign * mob * outer
 
 
-def stable_dt(u: ScalarField, params: FlowParams) -> float:
+def _stable_dt(u: np.ndarray, mob: np.ndarray, dx: float, params: FlowParams) -> float:
     """Parabolic CFL bound for the frozen-coefficient linearization.
 
     dt = cfl * dx_i^(2k) / (2^(2k) * max coefficient), where the local
     coefficient is mobility times the derivative of the p=1 quotient
     (identically 1 for p=2).
     """
-    dx = u.spacing(params.axis)
-    mob = _mobility(u, params)
     if params.p == 2:
         coeff = mob
     else:
-        g = diff(u, params.axis, params.k).values
+        if params.axis == Axis.X1:
+            g = diff_axis0(u, dx, params.k)
+        else:
+            g = diff_axis0(u.T, dx, params.k).T
         b2 = params.beta**2
         coeff = mob * b2 / (g * g + b2) ** 1.5
     cmax = max(float(np.max(coeff)), max(params.eps, DT_FLOOR))
     dt = params.cfl * dx ** (2 * params.k) / (2 ** (2 * params.k) * cmax)
     return float(min(dt, params.dt_max))
+
+
+def flow_rhs(u: ScalarField, params: FlowParams) -> ScalarField:
+    """Right-hand side of the flow evaluated with finite differences."""
+    _check_shape(u.shape, params)
+    mob = _mobility(u.values, u.dx1, params)
+    return u.with_values(_rhs(u.values, mob, u.spacing(params.axis), params))
+
+
+def stable_dt(u: ScalarField, params: FlowParams) -> float:
+    """Parabolic CFL bound of the explicit step at u (see _stable_dt)."""
+    _check_shape(u.shape, params)
+    mob = _mobility(u.values, u.dx1, params)
+    return _stable_dt(u.values, mob, u.spacing(params.axis), params)
 
 
 def evolve(
@@ -160,9 +184,14 @@ def evolve(
     Each step uses dt = min(stable_dt, remaining time), or dt_override in
     place of the stability bound when given, and the
     per-step ||rhs||_inf series is recorded.  Stops early once the residual
-    drops below stop_residual (if given).  A step producing a non-finite
-    field raises StabilityError.  Stopping at max_steps short of t_end
-    emits a RuntimeWarning that gives the time reached.
+    drops below stop_residual (if given).  A non-finite rhs or a step
+    producing a non-finite field raises StabilityError.  Stopping at
+    max_steps short of t_end emits a RuntimeWarning that gives the time
+    reached and sets FlowState.truncated.  A grid too small for the
+    stencils raises GridError before the first step.
+
+    The loop runs on plain arrays and computes the mobility once per step
+    for both the rhs and the CFL bound; only the result is a ScalarField.
 
     max_change additionally caps each step so no sample moves by more than
     that fraction of the initial dynamic range; the frozen-coefficient CFL
@@ -172,40 +201,38 @@ def evolve(
         raise FlowError("t_end must be finite unless stop_residual is set")
     if t_end < 0:
         raise FlowError("t_end must be non-negative")
-    state = FlowState(u=u0)
-    u0range = float(np.max(u0.values) - np.min(u0.values))
+    _check_shape(u0.shape, params)
+    u, dx1, dx = u0.values, u0.dx1, u0.spacing(params.axis)
+    t, steps, last_dt, residuals = 0.0, 0, 0.0, []
+    u0range = float(np.max(u) - np.min(u))
     # overflow in a wildly unstable step surfaces as StabilityError below
     with np.errstate(over="ignore", invalid="ignore"):
-        while state.t < t_end and state.steps < max_steps:
-            try:
-                rhs = flow_rhs(state.u, params)
-            except GridError as exc:
-                # overflow inside the rhs (e.g. after a wildly unstable step)
-                raise StabilityError(
-                    f"non-finite rhs at step {state.steps}: {exc}"
-                ) from exc
-            res = norm_linf(rhs)
-            state.residuals.append(res)
+        while t < t_end and steps < max_steps:
+            # one mobility per step, shared by the rhs and the CFL bound
+            mob = _mobility(u, dx1, params)
+            rhs = _rhs(u, mob, dx, params)
+            res = float(np.max(np.abs(rhs)))  # NaN and inf propagate
+            if not math.isfinite(res):
+                raise StabilityError(f"non-finite rhs at step {steps}")
+            residuals.append(res)
             if stop_residual is not None and res <= stop_residual:
                 break
-            base_dt = dt_override if dt_override is not None else stable_dt(state.u, params)
-            dt = min(base_dt, t_end - state.t)
+            base_dt = dt_override if dt_override is not None else _stable_dt(u, mob, dx, params)
+            dt = min(base_dt, t_end - t)
             if max_change is not None and res > 0 and u0range > 0:
                 dt = min(dt, max_change * u0range / res)
-            new_values = state.u.values + dt * rhs.values
+            new_values = u + dt * rhs
             if not np.all(np.isfinite(new_values)):
-                raise StabilityError(
-                    f"non-finite field after step {state.steps} (dt={dt:g})"
-                )
-            state.u = state.u.with_values(new_values)
-            state.t += dt
-            state.steps += 1
-            state.last_dt = dt
-    if state.steps >= max_steps and state.t < t_end:
+                raise StabilityError(f"non-finite field after step {steps} (dt={dt:g})")
+            u = new_values
+            t += dt
+            steps += 1
+            last_dt = dt
+    truncated = steps >= max_steps and t < t_end
+    if truncated:
         warnings.warn(
-            f"evolve stopped at max_steps={max_steps}: "
-            f"t = {state.t:.6g} of t_end = {t_end:.6g}",
+            f"evolve stopped at max_steps={max_steps}: t = {t:.6g} of t_end = {t_end:.6g}",
             RuntimeWarning,
             stacklevel=2,
         )
-    return state
+    return FlowState(u0.with_values(u), t, steps, last_dt, residuals, truncated)

@@ -84,45 +84,16 @@ def _check_size(f: ScalarField, axis: Axis, k: int):
         )
 
 
-@lru_cache(maxsize=64)
-def diff_matrix(n: int, dx: float, k: int) -> np.ndarray:
-    """Dense n x n matrix of the 1D order-k difference used by diff().
+def diff_axis0(v: np.ndarray, dx: float, k: int) -> np.ndarray:
+    """Order-k difference along axis 0 of a raw array: the one definition
+    of the stencils behind diff() and diff_matrix().
 
     Central second-order stencils in the interior, second-order one-sided
     stencils at the two boundary samples (exact on polynomials of degree
-    <= 2 for k=1 and degree <= 2 for k=2 everywhere).
+    <= 2).  The caller checks that axis 0 holds at least 2k+1 samples.
     """
-    _check_order(k)
-    if n < 2 * k + 1:
-        raise GridError(f"n={n} too small for order-{k} stencil")
-    D = np.zeros((n, n))
-    if k == 1:
-        for i in range(1, n - 1):
-            D[i, i - 1] = -0.5 / dx
-            D[i, i + 1] = 0.5 / dx
-        D[0, 0:3] = np.array([-1.5, 2.0, -0.5]) / dx
-        D[-1, -3:] = np.array([0.5, -2.0, 1.5]) / dx
-    else:
-        h2 = dx * dx
-        for i in range(1, n - 1):
-            D[i, i - 1] = 1.0 / h2
-            D[i, i] = -2.0 / h2
-            D[i, i + 1] = 1.0 / h2
-        D[0, 0:4] = np.array([2.0, -5.0, 4.0, -1.0]) / h2
-        D[-1, -4:] = np.array([-1.0, 4.0, -5.0, 2.0]) / h2
-    return D
-
-
-def diff(f: ScalarField, axis: Axis, order: int = 1) -> ScalarField:
-    """Finite-difference derivative of the given order along one axis."""
-    _check_order(order)
-    _check_size(f, axis, order)
-    dx = f.spacing(axis)
-    v = f.values
-    if axis == Axis.X2:
-        v = v.T
     out = np.empty_like(v)
-    if order == 1:
+    if k == 1:
         out[1:-1] = (v[2:] - v[:-2]) / (2.0 * dx)
         out[0] = (-1.5 * v[0] + 2.0 * v[1] - 0.5 * v[2]) / dx
         out[-1] = (0.5 * v[-3] - 2.0 * v[-2] + 1.5 * v[-1]) / dx
@@ -131,9 +102,25 @@ def diff(f: ScalarField, axis: Axis, order: int = 1) -> ScalarField:
         out[1:-1] = (v[2:] - 2.0 * v[1:-1] + v[:-2]) / h2
         out[0] = (2.0 * v[0] - 5.0 * v[1] + 4.0 * v[2] - v[3]) / h2
         out[-1] = (2.0 * v[-1] - 5.0 * v[-2] + 4.0 * v[-3] - v[-4]) / h2
-    if axis == Axis.X2:
-        out = out.T
-    return f.with_values(out)
+    return out
+
+
+@lru_cache(maxsize=64)
+def diff_matrix(n: int, dx: float, k: int) -> np.ndarray:
+    """Dense n x n matrix of the 1D order-k difference used by diff()."""
+    _check_order(k)
+    if n < 2 * k + 1:
+        raise GridError(f"n={n} too small for order-{k} stencil")
+    return diff_axis0(np.eye(n), dx, k)
+
+
+def diff(f: ScalarField, axis: Axis, order: int = 1) -> ScalarField:
+    """Finite-difference derivative of the given order along one axis."""
+    _check_order(order)
+    _check_size(f, axis, order)
+    if axis == Axis.X1:
+        return f.with_values(diff_axis0(f.values, f.dx1, order))
+    return f.with_values(diff_axis0(f.values.T, f.dx2, order).T)
 
 
 def norm_l2(f: ScalarField) -> float:

@@ -1,17 +1,21 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dispflow.flows import (
+    DT_FLOOR,
     FlowError,
     FlowParams,
+    FlowState,
     StabilityError,
     evolve,
     flow_rhs,
     stable_dt,
 )
-from dispflow.grid import Axis, ScalarField
+from dispflow.grid import Axis, GridError, ScalarField, norm_linf
 
 
 def smooth_field(seed: int, n: int = 16) -> ScalarField:
@@ -167,6 +171,7 @@ class TestEvolve:
         with pytest.warns(RuntimeWarning, match=r"max_steps=3: t = \S+ of t_end = 0\.0001$"):
             st_ = evolve(f, params, 1e-4, max_steps=3)
         assert st_.steps == 3 and st_.t < 1e-4
+        assert st_.truncated
 
     @pytest.mark.filterwarnings("error")
     def test_huge_forced_step_raises(self):
@@ -183,3 +188,190 @@ class TestEvolve:
         st_ = evolve(f, FlowParams(axis=Axis.X1, k=1, p=2, q=2), 5e-5)
         assert st_.u.values.min() >= lo - 1e-12
         assert st_.u.values.max() <= hi + 1e-12
+
+    def test_truncated_only_when_max_steps_cuts_short(self):
+        f = smooth_field(9)
+        params = FlowParams(axis=Axis.X1, k=1, p=2, q=2)
+        assert evolve(f, params, 1e-4).truncated is False
+        r0 = np.abs(flow_rhs(f, params).values).max()
+        st_ = evolve(f, params, 1e9, stop_residual=r0, max_steps=1)
+        assert st_.steps == 0 and st_.truncated is False
+
+    @pytest.mark.parametrize(
+        "shape,axis,k,p",
+        [((2, 8), Axis.X1, 1, 2), ((8, 1), Axis.X2, 2, 2), ((8, 4), Axis.X2, 2, 1)],
+    )
+    def test_grid_too_small_is_a_grid_error(self, shape, axis, k, p):
+        f = ScalarField(np.arange(shape[0] * shape[1], dtype=float).reshape(shape))
+        params = FlowParams(axis=axis, k=k, p=p, q=2)
+        bad = "X1" if shape[0] < 3 else "X2"
+        with pytest.raises(GridError, match=rf"^axis {bad} has \d+ samples, need at least \d+ "):
+            evolve(f, params, 1e-3)
+        with pytest.raises(GridError):
+            flow_rhs(f, params)
+        with pytest.raises(GridError):
+            stable_dt(f, params)
+
+
+# ---------------------------------------------------------------------------
+# Reference stepper: the ScalarField-based flow_rhs / stable_dt / evolve that
+# the raw-array loop replaced, with the grid stencil it used: the same
+# arithmetic in the same order, so every flow can be checked bitwise.
+
+
+def _ref_diff(f, axis, order):
+    v = f.values.T if axis == Axis.X2 else f.values
+    dx = f.spacing(axis)
+    out = np.empty_like(v)
+    if order == 1:
+        out[1:-1] = (v[2:] - v[:-2]) / (2.0 * dx)
+        out[0] = (-1.5 * v[0] + 2.0 * v[1] - 0.5 * v[2]) / dx
+        out[-1] = (0.5 * v[-3] - 2.0 * v[-2] + 1.5 * v[-1]) / dx
+    else:
+        h2 = dx * dx
+        out[1:-1] = (v[2:] - 2.0 * v[1:-1] + v[:-2]) / h2
+        out[0] = (2.0 * v[0] - 5.0 * v[1] + 4.0 * v[2] - v[3]) / h2
+        out[-1] = (2.0 * v[-1] - 5.0 * v[-2] + 4.0 * v[-3] - v[-4]) / h2
+    return f.with_values(out.T if axis == Axis.X2 else out)
+
+
+def _ref_mobility(u, params):
+    g1 = _ref_diff(u, Axis.X1, 1).values
+    return np.abs(g1) ** params.q + params.eps
+
+
+def _ref_quotient(g, params):
+    if params.p == 2:
+        return g
+    return g / np.sqrt(g * g + params.beta**2)
+
+
+def _ref_face_gradient(v, dx):
+    n = v.shape[0]
+    g = np.empty((n + 1,) + v.shape[1:])
+    g[1:-1] = (v[1:] - v[:-1]) / dx
+    g[0] = g[1]
+    g[-1] = g[-2]
+    return g
+
+
+def _ref_neumann_d2(v, dx):
+    out = np.empty_like(v)
+    h2 = dx * dx
+    out[1:-1] = (v[:-2] - 2.0 * v[1:-1] + v[2:]) / h2
+    out[0] = (v[1] - v[0]) / h2
+    out[-1] = (v[-2] - v[-1]) / h2
+    return out
+
+
+def _ref_flow_rhs(u, params):
+    v = u.values if params.axis == Axis.X1 else u.values.T
+    dx = u.spacing(params.axis)
+    if params.k == 1:
+        flux = _ref_quotient(_ref_face_gradient(v, dx), params)
+        outer = (flux[1:] - flux[:-1]) / dx
+        sign = 1.0
+    else:
+        outer = _ref_neumann_d2(_ref_quotient(_ref_neumann_d2(v, dx), params), dx)
+        sign = -1.0
+    if params.axis == Axis.X2:
+        outer = outer.T
+    return u.with_values(sign * _ref_mobility(u, params) * outer)
+
+
+def _ref_stable_dt(u, params):
+    dx = u.spacing(params.axis)
+    mob = _ref_mobility(u, params)
+    if params.p == 2:
+        coeff = mob
+    else:
+        g = _ref_diff(u, params.axis, params.k).values
+        b2 = params.beta**2
+        coeff = mob * b2 / (g * g + b2) ** 1.5
+    cmax = max(float(np.max(coeff)), max(params.eps, DT_FLOOR))
+    dt = params.cfl * dx ** (2 * params.k) / (2 ** (2 * params.k) * cmax)
+    return float(min(dt, params.dt_max))
+
+
+def _ref_evolve(u0, params, t_end, dt_override=None, stop_residual=None,
+                max_steps=10_000_000, max_change=0.05):
+    state = FlowState(u=u0)
+    u0range = float(np.max(u0.values) - np.min(u0.values))
+    with np.errstate(over="ignore", invalid="ignore"):
+        while state.t < t_end and state.steps < max_steps:
+            try:
+                rhs = _ref_flow_rhs(state.u, params)
+            except GridError as exc:
+                raise StabilityError(f"non-finite rhs at step {state.steps}: {exc}") from exc
+            res = norm_linf(rhs)
+            state.residuals.append(res)
+            if stop_residual is not None and res <= stop_residual:
+                break
+            base_dt = dt_override if dt_override is not None else _ref_stable_dt(state.u, params)
+            dt = min(base_dt, t_end - state.t)
+            if max_change is not None and res > 0 and u0range > 0:
+                dt = min(dt, max_change * u0range / res)
+            new_values = state.u.values + dt * rhs.values
+            if not np.all(np.isfinite(new_values)):
+                raise StabilityError(f"non-finite field after step {state.steps} (dt={dt:g})")
+            state.u = state.u.with_values(new_values)
+            state.t += dt
+            state.steps += 1
+            state.last_dt = dt
+    return state
+
+
+def _assert_same_run(f, params, **kwargs):
+    ref = _ref_evolve(f, params, **kwargs)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        new = evolve(f, params, **kwargs)
+    assert new.truncated == (ref.steps == kwargs.get("max_steps") and ref.t < kwargs["t_end"])
+    assert len(caught) == new.truncated
+    assert np.array_equal(new.u.values, ref.u.values)
+    assert (new.t, new.steps, new.last_dt) == (ref.t, ref.steps, ref.last_dt)
+    assert new.residuals == ref.residuals
+    return new
+
+
+def rough_field(seed: int, shape=(14, 11)) -> ScalarField:
+    # smooth modes plus noise, unequal spacings: every stencil row matters
+    rng = np.random.default_rng(seed)
+    v = smooth_field(seed, max(shape)).values[: shape[0], : shape[1]]
+    return ScalarField(v + 0.05 * rng.standard_normal(shape), dx1=0.07, dx2=0.09)
+
+
+class TestStepperReference:
+    @pytest.mark.parametrize("axis", list(Axis))
+    @pytest.mark.parametrize("k,p,q", ALL_VARIANTS)
+    def test_all_variants_bitwise_equal(self, k, p, q, axis):
+        f = rough_field(10 * k + 3 * p + q + int(axis))
+        params = FlowParams(axis=axis, k=k, p=p, q=q, beta=0.05, eps=1e-3)
+        assert np.array_equal(flow_rhs(f, params).values, _ref_flow_rhs(f, params).values)
+        dt0 = _ref_stable_dt(f, params)
+        assert stable_dt(f, params) == dt0
+        # the saturated k=2, p=1 variants shrink their step and stop at max_steps
+        assert _assert_same_run(f, params, t_end=100 * dt0, max_steps=400).steps > 20
+
+    @pytest.mark.parametrize(
+        "params,kwargs",
+        [
+            (FlowParams(axis=Axis.X1, k=1, p=2, q=2), dict(t_end=1e-4, dt_override=1e-6)),
+            (FlowParams(axis=Axis.X2, k=1, p=1, q=1, beta=0.1), dict(t_end=np.inf, stop_residual=185.0)),  # r0 = 371
+            (FlowParams(axis=Axis.X1, k=2, p=2, q=1), dict(t_end=1e-5, max_change=None)),
+            (FlowParams(axis=Axis.X2, k=2, p=1, q=2, beta=0.1, cfl=0.8), dict(t_end=1.0, max_steps=150)),
+        ],
+        ids=["dt_override", "stop_residual", "max_change_none", "truncated"],
+    )
+    def test_options_bitwise_equal(self, params, kwargs):
+        new = _assert_same_run(rough_field(4), params, **kwargs)
+        assert new.truncated == ("max_steps" in kwargs)
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_first_rhs_raises(self):
+        f = ScalarField(1e200 * smooth_field(11).values)
+        params = FlowParams(axis=Axis.X1, k=2, p=2, q=2)
+        with pytest.raises(StabilityError, match="non-finite rhs at step 0"):
+            evolve(f, params, 1e-3)
+        with pytest.raises(StabilityError, match="non-finite rhs at step 0"):
+            _ref_evolve(f, params, 1e-3)

@@ -118,6 +118,42 @@ class TestDiff:
             assert np.allclose(diff(f, Axis.X2, k).values, f.values @ mat2.T)
 
 
+def _loop_diff_matrix(n, dx, k):
+    """The row-by-row assembly diff_matrix used before it applied the
+    shared stencil to the identity."""
+    D = np.zeros((n, n))
+    if k == 1:
+        for i in range(1, n - 1):
+            D[i, i - 1] = -0.5 / dx
+            D[i, i + 1] = 0.5 / dx
+        D[0, 0:3] = np.array([-1.5, 2.0, -0.5]) / dx
+        D[-1, -3:] = np.array([0.5, -2.0, 1.5]) / dx
+    else:
+        h2 = dx * dx
+        for i in range(1, n - 1):
+            D[i, i - 1] = 1.0 / h2
+            D[i, i] = -2.0 / h2
+            D[i, i + 1] = 1.0 / h2
+        D[0, 0:4] = np.array([2.0, -5.0, 4.0, -1.0]) / h2
+        D[-1, -4:] = np.array([-1.0, 4.0, -5.0, 2.0]) / h2
+    return D
+
+
+class TestDiffMatrix:
+    @pytest.mark.parametrize("k", [1, 2])
+    @pytest.mark.parametrize("n", [3, 4, 5, 9, 90, 183])
+    def test_equals_row_assembly_bitwise(self, n, k):
+        if n < 2 * k + 1:
+            with pytest.raises(GridError):
+                diff_matrix(n, 0.1, k)
+            return
+        for dx in (1.0, 0.1, 1.0 / 183, 2.0 / 90, 0.0123):
+            D, ref = diff_matrix(n, dx, k), _loop_diff_matrix(n, dx, k)
+            assert np.array_equal(D, ref)
+            # signed zeros too: no -0.0 where the assembly left +0.0
+            assert np.array_equal(np.signbit(D), np.signbit(ref))
+
+
 class TestNorms:
     def test_l2_of_constant(self):
         f = ScalarField(np.full((10, 10), 2.0))  # spacing 0.1, area 1
