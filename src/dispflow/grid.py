@@ -39,6 +39,8 @@ class ScalarField:
             raise GridError(f"expected 2D values, got shape {v.shape}")
         if not np.all(np.isfinite(v)):
             raise GridError("field contains non-finite values")
+        if 0 in v.shape:
+            raise GridError(f"expected a non-empty grid, got shape {v.shape}")
         object.__setattr__(self, "values", v)
         # default spacing 1/n per axis (unit square)
         if self.dx1 <= 0.0:
@@ -63,11 +65,6 @@ class ScalarField:
 
     def with_values(self, values: np.ndarray) -> "ScalarField":
         return ScalarField(values, self.dx1, self.dx2)
-
-    def coords(self, axis: Axis) -> np.ndarray:
-        n = self.shape[int(axis)]
-        d = self.spacing(axis)
-        return (np.arange(n) + 0.5) * d
 
 
 def _check_order(k: int):
@@ -107,11 +104,16 @@ def diff_axis0(v: np.ndarray, dx: float, k: int) -> np.ndarray:
 
 @lru_cache(maxsize=64)
 def diff_matrix(n: int, dx: float, k: int) -> np.ndarray:
-    """Dense n x n matrix of the 1D order-k difference used by diff()."""
+    """Dense n x n matrix of the 1D order-k difference used by diff().
+
+    Read-only: every call with the same arguments returns the one cached
+    array."""
     _check_order(k)
     if n < 2 * k + 1:
         raise GridError(f"n={n} too small for order-{k} stencil")
-    return diff_axis0(np.eye(n), dx, k)
+    D = diff_axis0(np.eye(n), dx, k)
+    D.flags.writeable = False
+    return D
 
 
 def diff(f: ScalarField, axis: Axis, order: int = 1) -> ScalarField:

@@ -9,6 +9,7 @@ from dispflow.grid import (
     GridError,
     ScalarField,
     diff,
+    diff_axis0,
     diff_matrix,
     norm_l2,
     norm_linf,
@@ -42,10 +43,10 @@ class TestScalarField:
         with pytest.raises(GridError):
             ScalarField(np.zeros(5))
 
-    def test_coords_match_spacing(self):
-        f = ScalarField(np.zeros((4, 8)), dx1=0.5, dx2=0.25)
-        assert np.allclose(np.diff(f.coords(Axis.X1)), 0.5)
-        assert np.allclose(np.diff(f.coords(Axis.X2)), 0.25)
+    @pytest.mark.parametrize("shape", [(5, 0), (0, 5)])
+    def test_rejects_empty_axis(self, shape):
+        with pytest.raises(GridError, match="non-empty"):
+            ScalarField(np.zeros(shape))
 
 
 class TestDiff:
@@ -152,6 +153,14 @@ class TestDiffMatrix:
             assert np.array_equal(D, ref)
             # signed zeros too: no -0.0 where the assembly left +0.0
             assert np.array_equal(np.signbit(D), np.signbit(ref))
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_cached_matrix_is_read_only(self, k):
+        n, dx = 5, 0.1
+        D = diff_matrix(n, dx, k)
+        with pytest.raises(ValueError):
+            D[0, 0] = 99.0
+        assert np.array_equal(diff_matrix(n, dx, k), diff_axis0(np.eye(n), dx, k))
 
 
 class TestNorms:

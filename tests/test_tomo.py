@@ -8,6 +8,7 @@ from dispflow.tomo import (
     AngularPerturbation,
     Sinogram,
     TomoError,
+    _BLOCK,
     _project,
     default_offsets,
     fbp,
@@ -155,20 +156,39 @@ def _masked_project(f, angles, offsets):
     return rows
 
 
+def _reference_case(n):
+    rng = np.random.default_rng(n)
+    f = ScalarField(rng.standard_normal((n, n)), 2.0 / n, 2.0 / n)
+    base = np.arange(12) * math.pi / 12
+    angles = np.concatenate([
+        base + rng.uniform(0.0, math.pi / 18, base.size),
+        [0.0, math.pi / 2, math.pi - 1e-12, math.pi + math.pi / 18],
+        [-1e-3, -math.pi / 4, -math.pi - math.pi / 18],
+    ])
+    return f, angles
+
+
 class TestProjectorReference:
     @pytest.mark.parametrize("n_offsets", [None, 20])
     @pytest.mark.parametrize("n", [16, 33, 128])
     def test_padded_gather_equals_masked_gather(self, n, n_offsets):
-        rng = np.random.default_rng(n)
-        f = ScalarField(rng.standard_normal((n, n)), 2.0 / n, 2.0 / n)
-        base = np.arange(12) * math.pi / 12
-        angles = np.concatenate([
-            base + rng.uniform(0.0, math.pi / 18, base.size),
-            [0.0, math.pi / 2, math.pi - 1e-12, math.pi + math.pi / 18],
-            [-1e-3, -math.pi / 4, -math.pi - math.pi / 18],
-        ])
+        f, angles = _reference_case(n)
         offsets = default_offsets(n, n_offsets)
         new = _project(f, angles, offsets)
+        assert np.array_equal(new, _masked_project(f, angles, offsets))
+
+    # one offset, one full block, one row past it, two full blocks
+    @pytest.mark.parametrize(
+        "n_offsets", [1, _BLOCK, _BLOCK + 1, 2 * _BLOCK], ids=lambda c: f"{c}off"
+    )
+    def test_block_edges_equal_masked_gather(self, n_offsets):
+        f, angles = _reference_case(33)
+        if n_offsets == 1:
+            offsets = np.array([0.3])  # off-centre, so the ray is not symmetric
+        else:
+            offsets = default_offsets(33, n_offsets)
+        new = _project(f, angles, offsets)
+        assert new.shape == (angles.size, n_offsets)
         assert np.array_equal(new, _masked_project(f, angles, offsets))
 
 
