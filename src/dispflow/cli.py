@@ -15,12 +15,12 @@ import sys
 import numpy as np
 
 from .discrete import block_assign_columns, jitter_correct_rows
-from .experiment import _axis, _write_residuals, load_config, parse_angle, run_experiment
+from .experiment import _axis, _write_residuals, jittered_sinogram, load_config, parse_angle, run_experiment
 from .fileio import read_image, write_image
 from .flows import FlowParams, evolve
 from .grid import ScalarField
 from .metrics import metrics
-from .tomo import Sinogram, default_offsets, fbp, radon, radon_perturbed, sample_uniform_displacement, shepp_logan
+from .tomo import Sinogram, fbp, radon, shepp_logan
 from .varsolve import EnergyParams, iterate
 
 
@@ -140,12 +140,7 @@ def _dispatch(args) -> int:
         step = parse_angle(args.angle_step)
         a = parse_angle(args.a)
         angles = np.arange(round(math.pi / step)) * step
-        ph = shepp_logan(args.n, args.variant)
-        pert = sample_uniform_displacement(angles, a, args.seed)
-        sigma = 0.0
-        if args.noise > 0:
-            sigma = args.noise * float(np.abs(radon(ph, angles).field.values).max())
-        sino = radon_perturbed(ph, angles, None, pert, sigma, args.seed)
+        sino, _ = jittered_sinogram(shepp_logan(args.n, args.variant), angles, a, args.noise, args.seed)
         write_image(args.out, sino.field)
 
     elif args.verb == "flow":

@@ -276,23 +276,25 @@ def _run_image_experiment(cfg: ExperimentConfig, outdir: str) -> MetricReport:
     return metrics(f1, f0, extras=extras)
 
 
+def jittered_sinogram(
+    ph: ScalarField, angles: np.ndarray, a: float, noise: float, seed: int
+) -> tuple[Sinogram, AngularPerturbation]:
+    """Sinogram of ph at angles + d, d ~ Uniform[0, a] drawn from seed, plus
+    Gaussian noise of standard deviation noise * max |clean sinogram|
+    (seeded by seed too), with the perturbation it used."""
+    pert = sample_uniform_displacement(angles, a, seed)
+    sigma = 0.0
+    if noise > 0:
+        sigma = noise * float(np.abs(radon(ph, angles).field.values).max())
+    return radon_perturbed(ph, angles, None, pert, sigma, seed), pert
+
+
 def _run_tomo_experiment(cfg: ExperimentConfig, outdir: str) -> MetricReport:
     ph = shepp_logan(cfg.n, cfg.variant)
     write_image(os.path.join(outdir, "phantom.pgm"), ph)
     angles = np.arange(round(math.pi / cfg.angle_step)) * cfg.angle_step
     if cfg.a > 0 or cfg.noise > 0:
-        pert = AngularPerturbation(
-            d=sample_uniform_displacement(angles, cfg.a, cfg.seed).d
-            if cfg.a > 0
-            else np.zeros_like(angles),
-            bound=cfg.a,
-            seed=cfg.seed,
-        )
-        sigma = 0.0
-        if cfg.noise > 0:
-            clean_max = float(np.abs(radon(ph, angles).field.values).max())
-            sigma = cfg.noise * clean_max
-        sino = radon_perturbed(ph, angles, None, pert, sigma, cfg.seed)
+        sino, pert = jittered_sinogram(ph, angles, cfg.a, cfg.noise, cfg.seed)
         with open(os.path.join(outdir, "displacement.csv"), "w") as fh:
             fh.write("index,displacement\n")
             for i, d in enumerate(pert.d):

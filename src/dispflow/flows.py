@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import Axis, GridError, ScalarField, diff_axis0
+from .grid import Axis, GridError, ScalarField, diff_axis0, row_pair
 
 #: hard floor used in the CFL bound so a flat field never divides by zero
 DT_FLOOR = 1e-12
@@ -77,81 +77,125 @@ def _check_shape(shape, params: FlowParams):
             )
 
 
-def _mobility(u: np.ndarray, dx1: float, params: FlowParams) -> np.ndarray:
-    return np.abs(diff_axis0(u, dx1, 1)) ** params.q + params.eps
+def _flow_layout(values: np.ndarray, params: FlowParams) -> np.ndarray:
+    """The field with the flow axis first: itself for X1, its transpose for X2."""
+    return values if params.axis == Axis.X1 else values.T
 
 
-def _quotient(g: np.ndarray, params: FlowParams) -> np.ndarray:
-    if params.p == 2:
-        return g
-    return g / np.sqrt(g * g + params.beta**2)
+class _Workspace:
+    """Buffers for evaluating one flow on one grid, in the flow layout.
+
+    mob and rhs hold the mobility and the right-hand side; inner holds the
+    k=1 face fluxes (n+1 rows) or the k=2 inner second difference, and
+    scratch the p=1 quotient's and CFL bound's temporaries."""
+
+    def __init__(self, shape, params: FlowParams):
+        n, m = shape if params.axis == Axis.X1 else shape[::-1]
+        self.mob = np.empty((n, m))
+        self.rhs = np.empty((n, m))
+        self.inner = np.empty((n + 1 if params.k == 1 else n, m))
+        self.scratch = np.empty_like(self.inner)
 
 
-def _face_gradient(v: np.ndarray, dx: float) -> np.ndarray:
-    """First derivative at the n+1 cell faces along axis 0.
+def _mobility(v: np.ndarray, dx1: float, params: FlowParams, out: np.ndarray) -> np.ndarray:
+    """|d1 u|^q + eps into out; v and out are in the flow layout."""
+    if params.axis == Axis.X1:
+        diff_axis0(v, dx1, 1, out)
+    else:
+        diff_axis0(v.T, dx1, 1, out.T)
+    if params.q == 2:
+        np.multiply(out, out, out=out)  # |g|^2 == g * g exactly
+    else:
+        np.abs(out, out=out)
+    if params.eps:  # adding 0.0 to a non-negative mobility changes nothing
+        out += params.eps
+    return out
+
+
+def _quotient(g: np.ndarray, params: FlowParams, tmp: np.ndarray) -> np.ndarray:
+    """g / sqrt(g^2 + beta^2) in place for p=1 (g itself for p=2)."""
+    if params.p == 1:
+        np.multiply(g, g, out=tmp)
+        tmp += params.beta**2
+        np.sqrt(tmp, out=tmp)
+        g /= tmp
+    return g
+
+
+def _face_gradient(v: np.ndarray, dx: float, out: np.ndarray) -> np.ndarray:
+    """First derivative at the n+1 cell faces along axis 0, into out.
 
     Interior faces use the compact two-point difference; each boundary face
     copies the nearest interior face, so the flux divergence vanishes at the
     boundary cells.  This keeps affine fields exactly stationary and, unlike
     higher-order flux extrapolation, never injects energy at the boundary."""
     n = v.shape[0]
-    g = np.empty((n + 1,) + v.shape[1:])
-    g[1:-1] = (v[1:] - v[:-1]) / dx
-    g[0] = g[1]
-    g[-1] = g[-2]
-    return g
-
-
-def _neumann_d2(v: np.ndarray, dx: float) -> np.ndarray:
-    """Second difference along axis 0 with even-reflection ghost cells
-    (zero odd derivative at the boundary faces).  The resulting matrix is
-    symmetric negative semidefinite, so the composed k=2 operator cannot
-    inject energy at the boundary."""
-    out = np.empty_like(v)
-    h2 = dx * dx
-    out[1:-1] = (v[:-2] - 2.0 * v[1:-1] + v[2:]) / h2
-    out[0] = (v[1] - v[0]) / h2
-    out[-1] = (v[-2] - v[-1]) / h2
+    mid = out[1:-1]
+    np.subtract(v[1:], v[:-1], out=mid)
+    mid /= dx
+    out[::n] = row_pair(out, 1, n - 1)  # g[0] = g[1], g[-1] = g[-2]
     return out
 
 
-def _rhs(u: np.ndarray, mob: np.ndarray, dx: float, params: FlowParams) -> np.ndarray:
-    """Right-hand side on raw arrays, given the mobility of u.
+def _neumann_d2(v: np.ndarray, h2: float, out: np.ndarray) -> np.ndarray:
+    """Second difference along axis 0 with even-reflection ghost cells
+    (zero odd derivative at the boundary faces), divided by h2 = dx^2, or by
+    -dx^2 for the negated operator: x / -h2 == -(x / h2) exactly.  The
+    resulting matrix is symmetric negative semidefinite, so the composed k=2
+    operator cannot inject energy at the boundary."""
+    n = v.shape[0]
+    mid = out[1:-1]
+    # (v[:-2] - 2 v[1:-1] + v[2:]); (v[1] - v[0]) and (v[-2] - v[-1]) at the ends
+    np.multiply(2.0, v[1:-1], out=mid)
+    np.subtract(v[:-2], mid, out=mid)
+    mid += v[2:]
+    np.subtract(row_pair(v, 1, n - 2), row_pair(v, 0, n - 1), out=out[:: n - 1])
+    out /= h2
+    return out
+
+
+def _rhs(v: np.ndarray, mob: np.ndarray, dx: float, params: FlowParams, ws: _Workspace) -> np.ndarray:
+    """Right-hand side into ws.rhs, given v and its mobility in the flow layout.
 
     k=1 uses a staggered conservative form (flux at cell faces, divergence
     back to centers), which avoids the odd/even decoupling of composed
     wide central stencils; k=2 composes the self-adjoint reflection-BC
-    second difference with itself."""
-    v = u if params.axis == Axis.X1 else u.T
+    second difference with itself, the outer one negated for the sign
+    (-1)^(k-1)."""
+    out = ws.rhs
     if params.k == 1:
-        flux = _quotient(_face_gradient(v, dx), params)
-        outer = (flux[1:] - flux[:-1]) / dx
-        sign = 1.0
+        flux = _quotient(_face_gradient(v, dx, ws.inner), params, ws.scratch)
+        np.subtract(flux[1:], flux[:-1], out=out)
+        out /= dx
     else:
-        outer = _neumann_d2(_quotient(_neumann_d2(v, dx), params), dx)
-        sign = -1.0
-    if params.axis == Axis.X2:
-        outer = outer.T
-    return sign * mob * outer
+        h2 = dx * dx
+        inner = _quotient(_neumann_d2(v, h2, ws.inner), params, ws.scratch)
+        _neumann_d2(inner, -h2, out)
+    out *= mob
+    return out
 
 
-def _stable_dt(u: np.ndarray, mob: np.ndarray, dx: float, params: FlowParams) -> float:
+def _stable_dt(v: np.ndarray, mob: np.ndarray, dx: float, params: FlowParams, ws: _Workspace) -> float:
     """Parabolic CFL bound for the frozen-coefficient linearization.
 
     dt = cfl * dx_i^(2k) / (2^(2k) * max coefficient), where the local
     coefficient is mobility times the derivative of the p=1 quotient
-    (identically 1 for p=2).
+    (identically 1 for p=2).  Uses ws.inner and ws.scratch, not ws.rhs.
     """
     if params.p == 2:
         coeff = mob
     else:
-        if params.axis == Axis.X1:
-            g = diff_axis0(u, dx, params.k)
-        else:
-            g = diff_axis0(u.T, dx, params.k).T
+        n = v.shape[0]
+        g, coeff = ws.inner[:n], ws.scratch[:n]
         b2 = params.beta**2
-        coeff = mob * b2 / (g * g + b2) ** 1.5
-    cmax = max(float(np.max(coeff)), max(params.eps, DT_FLOOR))
+        diff_axis0(v, dx, params.k, g)
+        # mob * b2 / (g * g + b2) ** 1.5
+        np.multiply(g, g, out=g)
+        g += b2
+        np.power(g, 1.5, out=g)
+        np.multiply(mob, b2, out=coeff)
+        coeff /= g
+    cmax = max(float(coeff.max()), max(params.eps, DT_FLOOR))
     dt = params.cfl * dx ** (2 * params.k) / (2 ** (2 * params.k) * cmax)
     return float(min(dt, params.dt_max))
 
@@ -159,15 +203,20 @@ def _stable_dt(u: np.ndarray, mob: np.ndarray, dx: float, params: FlowParams) ->
 def flow_rhs(u: ScalarField, params: FlowParams) -> ScalarField:
     """Right-hand side of the flow evaluated with finite differences."""
     _check_shape(u.shape, params)
-    mob = _mobility(u.values, u.dx1, params)
-    return u.with_values(_rhs(u.values, mob, u.spacing(params.axis), params))
+    ws = _Workspace(u.shape, params)
+    v = _flow_layout(u.values, params)
+    _mobility(v, u.dx1, params, ws.mob)
+    rhs = _rhs(v, ws.mob, u.spacing(params.axis), params, ws)
+    return u.with_values(_flow_layout(rhs, params))
 
 
 def stable_dt(u: ScalarField, params: FlowParams) -> float:
     """Parabolic CFL bound of the explicit step at u (see _stable_dt)."""
     _check_shape(u.shape, params)
-    mob = _mobility(u.values, u.dx1, params)
-    return _stable_dt(u.values, mob, u.spacing(params.axis), params)
+    ws = _Workspace(u.shape, params)
+    v = _flow_layout(u.values, params)
+    _mobility(v, u.dx1, params, ws.mob)
+    return _stable_dt(v, ws.mob, u.spacing(params.axis), params, ws)
 
 
 def evolve(
@@ -190,8 +239,11 @@ def evolve(
     reached and sets FlowState.truncated.  A grid too small for the
     stencils raises GridError before the first step.
 
-    The loop runs on plain arrays and computes the mobility once per step
-    for both the rhs and the CFL bound; only the result is a ScalarField.
+    The loop runs in one workspace allocated per call: two field buffers
+    that swap each step, in the flow layout (an X2 flow runs on the
+    contiguous transpose and is transposed back once at the end), and the
+    buffers of _Workspace.  It computes the mobility once per step for both
+    the rhs and the CFL bound and never writes into u0.
 
     max_change additionally caps each step so no sample moves by more than
     that fraction of the initial dynamic range; the frozen-coefficient CFL
@@ -202,29 +254,33 @@ def evolve(
     if t_end < 0:
         raise FlowError("t_end must be non-negative")
     _check_shape(u0.shape, params)
-    u, dx1, dx = u0.values, u0.dx1, u0.spacing(params.axis)
+    ws = _Workspace(u0.shape, params)
+    u = np.array(_flow_layout(u0.values, params), order="C")
+    nxt, finite = np.empty_like(u), np.empty(u.shape, dtype=bool)
+    dx1, dx = u0.dx1, u0.spacing(params.axis)
     t, steps, last_dt, residuals = 0.0, 0, 0.0, []
     u0range = float(np.max(u) - np.min(u))
     # overflow in a wildly unstable step surfaces as StabilityError below
     with np.errstate(over="ignore", invalid="ignore"):
         while t < t_end and steps < max_steps:
             # one mobility per step, shared by the rhs and the CFL bound
-            mob = _mobility(u, dx1, params)
-            rhs = _rhs(u, mob, dx, params)
-            res = float(np.max(np.abs(rhs)))  # NaN and inf propagate
+            mob = _mobility(u, dx1, params, ws.mob)
+            rhs = _rhs(u, mob, dx, params, ws)
+            res = float(np.abs(rhs, out=nxt).max())  # NaN and inf propagate
             if not math.isfinite(res):
                 raise StabilityError(f"non-finite rhs at step {steps}")
             residuals.append(res)
             if stop_residual is not None and res <= stop_residual:
                 break
-            base_dt = dt_override if dt_override is not None else _stable_dt(u, mob, dx, params)
+            base_dt = dt_override if dt_override is not None else _stable_dt(u, mob, dx, params, ws)
             dt = min(base_dt, t_end - t)
             if max_change is not None and res > 0 and u0range > 0:
                 dt = min(dt, max_change * u0range / res)
-            new_values = u + dt * rhs
-            if not np.all(np.isfinite(new_values)):
+            np.multiply(dt, rhs, out=nxt)
+            nxt += u  # u + dt * rhs
+            if not np.isfinite(nxt, out=finite).all():
                 raise StabilityError(f"non-finite field after step {steps} (dt={dt:g})")
-            u = new_values
+            u, nxt = nxt, u
             t += dt
             steps += 1
             last_dt = dt
@@ -235,4 +291,5 @@ def evolve(
             RuntimeWarning,
             stacklevel=2,
         )
+    u = np.ascontiguousarray(_flow_layout(u, params))
     return FlowState(u0.with_values(u), t, steps, last_dt, residuals, truncated)

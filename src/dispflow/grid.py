@@ -81,24 +81,59 @@ def _check_size(f: ScalarField, axis: Axis, k: int):
         )
 
 
-def diff_axis0(v: np.ndarray, dx: float, k: int) -> np.ndarray:
-    """Order-k difference along axis 0 of a raw array: the one definition
-    of the stencils behind diff() and diff_matrix().
+def row_pair(v: np.ndarray, i: int, j: int) -> np.ndarray:
+    """Rows i and j of v as one (2, ...) view, so a stencil's two boundary
+    rows are computed by one batched expression."""
+    if i == j:
+        return np.broadcast_to(v[i], (2,) + v.shape[1:])
+    return v[i :: j - i][:2]
+
+
+# coefficients of the one-sided order-1 boundary stencils, one row per end:
+# out[0] = (-1.5 v0 + 2 v1 - 0.5 v2) / dx, out[-1] = (0.5 v-3 - 2 v-2 + 1.5 v-1) / dx
+_D1_ENDS = tuple(np.array([[lo], [hi]]) for lo, hi in ((-1.5, 0.5), (2.0, -2.0), (-0.5, 1.5)))
+
+
+def diff_axis0(v: np.ndarray, dx: float, k: int, out: np.ndarray | None = None) -> np.ndarray:
+    """Order-k difference along axis 0 of a raw 2D array, written into out
+    (a new array if None): the one definition of the stencils behind
+    diff(), diff_matrix() and the flows' mobility.
 
     Central second-order stencils in the interior, second-order one-sided
     stencils at the two boundary samples (exact on polynomials of degree
-    <= 2).  The caller checks that axis 0 holds at least 2k+1 samples.
+    <= 2).  Both boundary rows are computed in one batched expression;
+    x + (-c) * y == x - c * y exactly, so each keeps the operations and
+    their order of the scalar formula in the comments.  The caller checks
+    that axis 0 holds at least 2k+1 samples.
     """
-    out = np.empty_like(v)
+    if out is None:
+        out = np.empty_like(v)
+    n = v.shape[0]
+    mid, ends = out[1:-1], out[:: n - 1]
+    # order="C" runs the row-pair arithmetic along the rows even where they
+    # are strided columns of a transposed array (an X2 difference)
     if k == 1:
-        out[1:-1] = (v[2:] - v[:-2]) / (2.0 * dx)
-        out[0] = (-1.5 * v[0] + 2.0 * v[1] - 0.5 * v[2]) / dx
-        out[-1] = (0.5 * v[-3] - 2.0 * v[-2] + 1.5 * v[-1]) / dx
+        # out[1:-1] = (v[2:] - v[:-2]) / (2 dx)
+        np.subtract(v[2:], v[:-2], out=mid)
+        mid /= 2.0 * dx
+        c0, c1, c2 = _D1_ENDS
+        e = np.multiply(c0, row_pair(v, 0, n - 3), order="C")
+        e += np.multiply(c1, row_pair(v, 1, n - 2), order="C")
+        e += np.multiply(c2, row_pair(v, 2, n - 1), order="C")
+        np.divide(e, dx, out=ends, order="C")
     else:
+        # out[1:-1] = (v[2:] - 2 v[1:-1] + v[:-2]) / dx^2
+        # out[0] = (2 v0 - 5 v1 + 4 v2 - v3) / dx^2, and mirrored at the end
         h2 = dx * dx
-        out[1:-1] = (v[2:] - 2.0 * v[1:-1] + v[:-2]) / h2
-        out[0] = (2.0 * v[0] - 5.0 * v[1] + 4.0 * v[2] - v[3]) / h2
-        out[-1] = (2.0 * v[-1] - 5.0 * v[-2] + 4.0 * v[-3] - v[-4]) / h2
+        np.multiply(2.0, v[1:-1], out=mid)
+        np.subtract(v[2:], mid, out=mid)
+        mid += v[:-2]
+        mid /= h2
+        e = np.multiply(2.0, row_pair(v, 0, n - 1), order="C")
+        e -= np.multiply(5.0, row_pair(v, 1, n - 2), order="C")
+        e += np.multiply(4.0, row_pair(v, 2, n - 3), order="C")
+        np.subtract(e, row_pair(v, 3, n - 4), out=e, order="C")
+        np.divide(e, h2, out=ends, order="C")
     return out
 
 

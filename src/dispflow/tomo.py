@@ -126,9 +126,12 @@ def sample_uniform_displacement(
 
 
 def default_offsets(n: int, n_offsets: int | None = None) -> np.ndarray:
-    """Detector offsets spanning the image diagonal."""
+    """Detector offsets spanning the image diagonal; at least two, so the
+    sinogram has an offset spacing."""
     if n_offsets is None:
         n_offsets = int(math.ceil(n * math.sqrt(2.0))) | 1
+    if n_offsets < 2:
+        raise TomoError(f"need at least 2 detector offsets, got {n_offsets}")
     half = math.sqrt(2.0)
     return np.linspace(-half, half, n_offsets)
 

@@ -15,7 +15,7 @@ from dispflow.flows import (
     flow_rhs,
     stable_dt,
 )
-from dispflow.grid import Axis, GridError, ScalarField, norm_linf
+from dispflow.grid import Axis, GridError, ScalarField, diff, diff_matrix, norm_linf
 
 
 def smooth_field(seed: int, n: int = 16) -> ScalarField:
@@ -199,6 +199,24 @@ class TestEvolve:
         st_ = evolve(f, params, 1e9, stop_residual=r0, max_steps=1)
         assert st_.steps == 0 and st_.truncated is False
 
+    @pytest.mark.filterwarnings("ignore:evolve stopped at max_steps")
+    @pytest.mark.parametrize("axis", list(Axis))
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_never_writes_input_nor_shares_it(self, k, axis):
+        # the loop swaps two buffers: its result lands in either one
+        # depending on the parity of the step count, or in the first copy
+        # when no step runs
+        f = rough_field(20 + k + int(axis))
+        before = f.values.copy()
+        f.values.flags.writeable = False  # a write raises instead of passing silently
+        params = FlowParams(axis=axis, k=k, p=2, q=2)
+        for t_end, max_steps in ((0.0, 10), (1.0, 1), (1.0, 2), (1.0, 3)):
+            st_ = evolve(f, params, t_end, max_steps=max_steps)
+            assert st_.steps == (max_steps if t_end else 0)
+            assert not np.shares_memory(st_.u.values, f.values)
+            assert np.array_equal(f.values, before)
+            assert np.array_equal(st_.u.values, _ref_evolve(f, params, t_end, max_steps=max_steps).u.values)
+
     @pytest.mark.parametrize(
         "shape,axis,k,p",
         [((2, 8), Axis.X1, 1, 2), ((8, 1), Axis.X2, 2, 2), ((8, 4), Axis.X2, 2, 1)],
@@ -368,6 +386,40 @@ class TestStepperReference:
     def test_options_bitwise_equal(self, params, kwargs):
         new = _assert_same_run(rough_field(4), params, **kwargs)
         assert new.truncated == ("max_steps" in kwargs)
+
+    # the smallest grid each variant admits (3 samples along X1 for the
+    # mobility; 2 along the flow axis, or 2k+1 for the p=1 CFL bound), and 4
+    # and 5 samples, where the two rows of a batched boundary stencil read
+    # the same, overlapping or adjacent samples
+    @pytest.mark.filterwarnings("ignore:evolve stopped at max_steps")
+    @pytest.mark.parametrize("axis", list(Axis))
+    @pytest.mark.parametrize("k,p,q", ALL_VARIANTS)
+    def test_small_grids_bitwise_equal(self, k, p, q, axis):
+        need = [3, 1]
+        need[axis] = max(need[axis], 2 * k + 1 if p == 1 else 2)
+        params = FlowParams(axis=axis, k=k, p=p, q=q, beta=0.05, eps=1e-3)
+        too_small = list(need)
+        too_small[axis] -= 1
+        with pytest.raises(GridError):
+            flow_rhs(ScalarField(np.ones(too_small)), params)
+        for n1 in sorted({need[0], 4, 5} - set(range(need[0]))):
+            for n2 in sorted({need[1], 4, 5} - set(range(need[1]))):
+                f = rough_field(n1 + 7 * n2, (n1, n2))
+                assert np.array_equal(flow_rhs(f, params).values, _ref_flow_rhs(f, params).values)
+                dt0 = _ref_stable_dt(f, params)
+                assert stable_dt(f, params) == dt0
+                assert _assert_same_run(f, params, t_end=100 * dt0, max_steps=60).steps > 0
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_grid_stencils_bitwise_equal_near_their_minimum(self, k):
+        for n in range(2 * k + 1, 2 * k + 4):
+            for shape in ((n, 3), (3, n), (n, n)):
+                f = rough_field(n + k, shape)
+                for axis in Axis:
+                    if shape[axis] >= 2 * k + 1:
+                        assert np.array_equal(diff(f, axis, k).values, _ref_diff(f, axis, k).values)
+            eye = ScalarField(np.eye(n), 0.07, 0.07)
+            assert np.array_equal(diff_matrix(n, 0.07, k), _ref_diff(eye, Axis.X1, k).values)
 
     @pytest.mark.filterwarnings("error")
     def test_overflowing_first_rhs_raises(self):

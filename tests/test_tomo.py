@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from dispflow import tomo
 from dispflow.grid import ScalarField
 from dispflow.tomo import (
     AngularPerturbation,
@@ -111,6 +112,19 @@ class TestRadon:
     def test_empty_angles_rejected(self):
         with pytest.raises(TomoError):
             radon(ScalarField(np.zeros((16, 16))), np.array([]))
+
+    @pytest.mark.parametrize("n_offsets", [0, 1])
+    def test_fewer_than_two_offsets_rejected(self, n_offsets, monkeypatch):
+        def no_projection(*args):
+            raise AssertionError("projected before rejecting the offsets")
+
+        monkeypatch.setattr(tomo, "_project", no_projection)
+        ph, angles = shepp_logan(16), np.arange(4) * math.pi / 4
+        pert = sample_uniform_displacement(angles, 0.1, seed=1)
+        with pytest.raises(TomoError, match=rf"^need at least 2 detector offsets, got {n_offsets}$"):
+            radon(ph, angles, n_offsets)
+        with pytest.raises(TomoError, match=rf"^need at least 2 detector offsets, got {n_offsets}$"):
+            radon_perturbed(ph, angles, n_offsets, pert)
 
 
 def _masked_bilinear(img, x, y, n):
