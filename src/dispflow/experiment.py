@@ -25,6 +25,7 @@ from .metrics import MetricReport, interface_variance, metrics, strip_fwhm
 from .tomo import (
     AngularPerturbation,
     Sinogram,
+    TomoError,
     fbp,
     radon,
     radon_perturbed,
@@ -118,6 +119,9 @@ class ExperimentConfig:
             raise ConfigError(f"unknown correction stage {self.correction!r}")
         if self.input not in _INPUTS:
             raise ConfigError(f"unknown input kind {self.input!r}")
+        for key in ("a", "noise"):
+            if getattr(self, key) < 0:
+                raise ConfigError(f"{key} must be non-negative, got {getattr(self, key)}")
 
 
 def _axis(text: str) -> Axis:
@@ -282,6 +286,8 @@ def jittered_sinogram(
     """Sinogram of ph at angles + d, d ~ Uniform[0, a] drawn from seed, plus
     Gaussian noise of standard deviation noise * max |clean sinogram|
     (seeded by seed too), with the perturbation it used."""
+    if noise < 0:
+        raise TomoError(f"noise must be non-negative, got {noise}")
     pert = sample_uniform_displacement(angles, a, seed)
     sigma = 0.0
     if noise > 0:

@@ -157,7 +157,10 @@ def diff(f: ScalarField, axis: Axis, order: int = 1) -> ScalarField:
     _check_size(f, axis, order)
     if axis == Axis.X1:
         return f.with_values(diff_axis0(f.values, f.dx1, order))
-    return f.with_values(diff_axis0(f.values.T, f.dx2, order).T)
+    # difference a contiguous transpose, then return the result in C order:
+    # cheaper than writing through the strided rows of a transposed view
+    out = diff_axis0(np.ascontiguousarray(f.values.T), f.dx2, order)
+    return f.with_values(np.ascontiguousarray(out.T))
 
 
 def norm_l2(f: ScalarField) -> float:

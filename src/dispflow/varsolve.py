@@ -64,6 +64,7 @@ class IterTrace:
     du_l2: list = field(default_factory=list)     # ||u_m - u_{m-1}||_L2
     grad_linf: list = field(default_factory=list)  # ||d1 u_m||_inf
     warnings: list = field(default_factory=list)
+    converged: bool = False  # iterate stopped on du <= stop_tol, not at m_max
 
     def append(self, m, fc, reg, du, gl):
         self.m.append(m)
@@ -92,13 +93,8 @@ def _check_same_shape(a: ScalarField, b: ScalarField):
         raise SolverError(f"shape mismatch: {a.shape} vs {b.shape}")
 
 
-def energy_R(u: ScalarField, axis: Axis, k: int, p: int, beta: float = 1e-6) -> float:
-    """Roughness penalty (1/p) * integral (d_i^k u)^p.
-
-    For p=1 the integrand is the beta-smoothed absolute value, matching the
-    quotient used by the flows and the p=1 convex step.
-    """
-    g = diff(u, axis, k).values
+def _roughness(g: np.ndarray, u: ScalarField, p: int, beta: float) -> float:
+    # (1/p) * integral of g^p, g = d_i^k u; p=1 smooths |g| by beta
     if p == 2:
         integrand = 0.5 * g * g
     else:
@@ -106,32 +102,46 @@ def energy_R(u: ScalarField, axis: Axis, k: int, p: int, beta: float = 1e-6) -> 
     return float(u.dx1 * u.dx2 * np.sum(integrand))
 
 
-def _weight(u_ref: ScalarField, q: int, eps: float) -> np.ndarray:
-    g1 = diff(u_ref, Axis.X1, 1).values
+def energy_R(u: ScalarField, axis: Axis, k: int, p: int, beta: float = 1e-6) -> float:
+    """Roughness penalty (1/p) * integral (d_i^k u)^p.
+
+    For p=1 the integrand is the beta-smoothed absolute value, matching the
+    quotient used by the flows and the p=1 convex step.
+    """
+    return _roughness(diff(u, axis, k).values, u, p, beta)
+
+
+def _d1(u: ScalarField) -> np.ndarray:
+    return diff(u, Axis.X1, 1).values
+
+
+def _weight(g1: np.ndarray, q: int, eps: float) -> np.ndarray:
+    # frozen denominator w from g1 = d1 of the reference field
     return g1 * g1 + eps if q == 2 else np.abs(g1) + eps
+
+
+def _data_term(u: ScalarField, u_ref: ScalarField, w: np.ndarray) -> float:
+    r = u.values - u_ref.values
+    return float(0.5 * u.dx1 * u.dx2 * np.sum(r * r / w))
 
 
 def energy_D2(u: ScalarField, u_ref: ScalarField, eps: float) -> float:
     """(1/2) * integral (u - u_ref)^2 / ((d1 u)^2 + eps)."""
     _check_same_shape(u, u_ref)
-    r = u.values - u_ref.values
-    return float(0.5 * u.dx1 * u.dx2 * np.sum(r * r / _weight(u, 2, eps)))
+    return _data_term(u, u_ref, _weight(_d1(u), 2, eps))
 
 
 def energy_D1(u: ScalarField, u_ref: ScalarField, eps: float) -> float:
     """(1/2) * integral (u - u_ref)^2 / (|d1 u| + eps)."""
     _check_same_shape(u, u_ref)
-    r = u.values - u_ref.values
-    return float(0.5 * u.dx1 * u.dx2 * np.sum(r * r / _weight(u, 1, eps)))
+    return _data_term(u, u_ref, _weight(_d1(u), 1, eps))
 
 
 def fc_energy(u: ScalarField, u_prev: ScalarField, params: EnergyParams) -> float:
     """Convex surrogate Fc(u; u_prev) with the denominator frozen at u_prev."""
     _check_same_shape(u, u_prev)
-    r = u.values - u_prev.values
-    w = _weight(u_prev, params.q, params.eps)
-    data = 0.5 * u.dx1 * u.dx2 * np.sum(r * r / w)
-    return data + params.alpha * energy_R(
+    w = _weight(_d1(u_prev), params.q, params.eps)
+    return _data_term(u, u_prev, w) + params.alpha * energy_R(
         u, params.axis, params.k, params.p, params.beta
     )
 
@@ -147,7 +157,7 @@ def convex_step(u_prev: ScalarField, params: EnergyParams) -> ScalarField:
     """
     along_x1 = params.axis == Axis.X1
     v = u_prev.values.T if along_x1 else u_prev.values  # one line per row
-    w = _weight(u_prev, params.q, params.eps)
+    w = _weight(_d1(u_prev), params.q, params.eps)
     w = w.T if along_x1 else w
     lines, n = v.shape
     D = diff_matrix(n, u_prev.spacing(params.axis), params.k)
@@ -155,13 +165,13 @@ def convex_step(u_prev: ScalarField, params: EnergyParams) -> ScalarField:
     rhs = (v / w).ravel()
 
     def solve(mob):
-        # upper form: row band - s holds (D^T diag(m) D)[j, j+s] in column
-        # j+s, which is m @ (D[:, :n-s] * D[:, s:])[:, j] for each line
+        # lower form: row s holds (D^T diag(m) D)[j+s, j] in column j, which
+        # is m @ (D[:, :n-s] * D[:, s:])[:, j] for each line
         ab = np.zeros((band + 1, lines, n))
         for s in range(band + 1):
-            ab[band - s, :, s:] = params.alpha * (mob @ (D[:, : n - s] * D[:, s:]))
-        ab[band] += 1.0 / w
-        return solveh_banded(ab.reshape(band + 1, -1), rhs).reshape(lines, n)
+            ab[s, :, : n - s] = params.alpha * (mob @ (D[:, : n - s] * D[:, s:]))
+        ab[0] += 1.0 / w
+        return solveh_banded(ab.reshape(band + 1, -1), rhs, lower=True).reshape(lines, n)
 
     if params.p == 2:
         out = solve(np.ones(n))
@@ -188,24 +198,30 @@ def iterate(
     m_max: int = 500,
     stop_tol: float | None = None,
 ) -> tuple[ScalarField, IterTrace]:
-    """Lagged convex iteration u_m = argmin Fc(u; u_{m-1}) starting at u0."""
+    """Lagged convex iteration u_m = argmin Fc(u; u_{m-1}) starting at u0.
+
+    d1 u_m is computed once per iterate: it gives grad_linf, the data-term
+    weight of the next Fc and, for (axis, k) = (X1, 1), R(u_m) too.  The
+    trace says whether the run stopped on du <= stop_tol.
+    """
     if m_max < 1:
         raise SolverError("m_max must be at least 1")
     if stop_tol is None:
         stop_tol = 1e-6 * norm_l2(u0)
+    reuse_d1 = (params.axis, params.k) == (Axis.X1, 1)
     trace = IterTrace()
-    u_prev = u0
+    u_prev, d1 = u0, diff(u0, Axis.X1, 1)
     for m in range(1, m_max + 1):
         u = convex_step(u_prev, params)
         du = norm_l2(u.with_values(u.values - u_prev.values))
-        trace.append(
-            m,
-            fc_energy(u, u_prev, params),
-            energy_R(u, params.axis, params.k, params.p, params.beta),
-            du,
-            norm_linf(diff(u, Axis.X1, 1)),
-        )
+        w = _weight(d1.values, params.q, params.eps)
+        d1 = diff(u, Axis.X1, 1)
+        g = d1.values if reuse_d1 else diff(u, params.axis, params.k).values
+        reg = _roughness(g, u, params.p, params.beta)
+        fc = _data_term(u, u_prev, w) + params.alpha * reg
+        trace.append(m, fc, reg, du, norm_linf(d1))
         u_prev = u
         if du <= stop_tol:
+            trace.converged = True
             break
     return u_prev, trace

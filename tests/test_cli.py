@@ -52,6 +52,15 @@ class TestSinogramVerbs:
         assert not np.array_equal(read_csv(clean).values, read_csv(pert).values)
 
 
+    @pytest.mark.parametrize("arg", ["--noise=-0.5", "--a=-0.1"])
+    def test_perturb_negative_setting_fails(self, tmp_path, capsys, arg):
+        out = tmp_path / "p.csv"
+        assert run("perturb", "--n=32", "--angle-step=pi/18", arg, f"--out={out}") == 1
+        err = capsys.readouterr().err
+        assert "must be non-negative" in err and err.count("\n") == 1
+        assert not out.exists()
+
+
 class TestFlowVerb:
     def test_flow_smooths(self, tmp_path):
         rng = np.random.default_rng(0)

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,6 +14,7 @@ from dispflow.discrete import (
     shift_line,
 )
 from dispflow.grid import ScalarField
+from dispflow.tomo import radon_perturbed, sample_uniform_displacement, shepp_logan
 
 
 class TestShiftLine:
@@ -138,3 +141,81 @@ class TestBlockAssign:
         for k in (1, 2):
             out, _ = block_assign_columns(ScalarField(v, 1, 1), M=5, k=k)
             assert column_cost(out.values, k) <= column_cost(v, k) + 1e-12
+
+
+def _ref_block_assign(img, M, k=1):
+    """The full-recount block reordering: every candidate swap is applied to
+    the whole array, column_cost is summed again and the swap undone."""
+    v = img.values.copy()
+    n = img.n1
+    perm = np.arange(n)
+    for start in range(0, n, M):
+        stop = min(start + M, n)
+        improving = True
+        while improving:
+            improving = False
+            best_pair, best_gain = None, 0.0
+            base = column_cost(v, k)
+            for a, b in itertools.combinations(range(start, stop), 2):
+                v[[a, b]] = v[[b, a]]
+                gain = base - column_cost(v, k)
+                v[[a, b]] = v[[b, a]]
+                if gain > best_gain + 1e-12 * max(base, 1.0):
+                    best_gain, best_pair = gain, (a, b)
+            if best_pair is not None:
+                a, b = best_pair
+                v[[a, b]] = v[[b, a]]
+                perm[[a, b]] = perm[[b, a]]
+                improving = True
+    return v, perm - np.arange(n)
+
+
+def _random_rows(seed):
+    # 23 rows: blocks of 2, 5, 10 and 20 leave a partial last block
+    return np.random.default_rng(seed).standard_normal((23, 7))
+
+
+def _smooth_rows(seed):
+    # 21 rows: blocks of 2, 5, 10 and 20 leave a one-row last block
+    rng = np.random.default_rng(seed)
+    x = np.linspace(0.0, 1.0, 21)[:, None]
+    v = np.sin(3.0 * x + np.linspace(0.0, 2.0, 9)) + 1e-3 * rng.standard_normal((21, 9))
+    return v[rng.permutation(21)]
+
+
+def _repeated_rows(seed):
+    # four distinct rows, each repeated: swaps of equal rows gain nothing
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal((4, 6))[rng.integers(0, 4, size=22)]
+
+
+class TestBlockAssignReference:
+    """block_assign_columns makes the same swaps as the full recount."""
+
+    def check(self, v, M, k):
+        f = ScalarField(v, 1, 1)
+        out, rec = block_assign_columns(f, M, k)
+        ref, ref_shifts = _ref_block_assign(f, M, k)
+        assert np.array_equal(out.values, ref)
+        assert np.array_equal(rec.shifts, ref_shifts)
+
+    @pytest.mark.parametrize("k", [1, 2])
+    @pytest.mark.parametrize("M", [1, 2, 3, 5, 10, 20])
+    @pytest.mark.parametrize("rows", [_random_rows, _smooth_rows, _repeated_rows])
+    def test_same_as_full_recount(self, rows, M, k):
+        for seed in range(20):
+            self.check(rows(seed), M, k)
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_constant_image_is_left_alone(self, k):
+        v = np.full((13, 5), 2.5)
+        self.check(v, 4, k)
+        _, rec = block_assign_columns(ScalarField(v, 1, 1), 4, k)
+        assert not rec.shifts.any()
+
+    @pytest.mark.parametrize("k", [1, 2])
+    @pytest.mark.parametrize("M", [3, 10])
+    def test_same_on_a_jittered_sinogram(self, M, k):
+        angles = np.arange(18) * np.pi / 18
+        pert = sample_uniform_displacement(angles, np.pi / 18, 5)
+        self.check(radon_perturbed(shepp_logan(32), angles, None, pert).field.values, M, k)

@@ -6,6 +6,7 @@ import pytest
 
 from dispflow.experiment import (
     ConfigError,
+    ExperimentConfig,
     load_config,
     parse_angle,
     run_experiment,
@@ -53,6 +54,17 @@ class TestLoadConfig:
         p.write_text("[experiment]\nname = x\ninput = video\ncorrection = none\n")
         with pytest.raises(ConfigError):
             load_config(p)
+
+
+    @pytest.mark.parametrize("a,noise", [("-0.1", "0"), ("0.1", "-0.5")])
+    def test_negative_bound_or_noise(self, tmp_path, a, noise):
+        # read as "no jitter" or "no noise" these would run the clean pipeline
+        p = tmp_path / "neg.cfg"
+        p.write_text(f"[experiment]\nname = x\n[tomo]\na = {a}\nnoise = {noise}\n")
+        with pytest.raises(ConfigError, match="must be non-negative"):
+            load_config(p)
+        with pytest.raises(ConfigError, match="must be non-negative"):
+            ExperimentConfig(a=float(a), noise=float(noise))
 
 
 def small_tomo_cfg(tmp_path, correction="none", extra=""):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import solveh_banded
 
 from dispflow.grid import Axis, ScalarField, diff, diff_matrix, norm_l2
 from dispflow.tomo import radon_perturbed, sample_uniform_displacement, shepp_logan
@@ -164,6 +165,20 @@ class TestIterate:
         _, trace = iterate(u0, params, m_max=100, stop_tol=1e-3 * norm_l2(u0))
         assert len(trace.m) < 100
 
+    def test_converged_says_why_it_stopped(self):
+        u0 = bumpy_field(8)
+        params = EnergyParams(axis=Axis.X1, k=1, p=2, q=2, alpha=1e-6)
+        stop_tol = 1e-3 * norm_l2(u0)
+        _, early = iterate(u0, params, m_max=100, stop_tol=stop_tol)
+        assert early.converged and early.du_l2[-1] <= stop_tol
+        # stopping on stop_tol at the last allowed iteration still counts
+        _, last = iterate(u0, params, m_max=len(early.m), stop_tol=stop_tol)
+        assert last.converged
+        _, short = iterate(u0, params, m_max=len(early.m) - 1, stop_tol=stop_tol)
+        assert not short.converged and short.du_l2[-1] > stop_tol
+        assert short.to_csv() == last.to_csv().rsplit("\n", 2)[0] + "\n"
+        assert short.warnings == []
+
     def test_bad_m_max(self):
         with pytest.raises(SolverError):
             iterate(bumpy_field(9), EnergyParams(axis=Axis.X1), m_max=0)
@@ -193,3 +208,86 @@ class TestIterTrace:
         tr.append(1, 1.0, 1.0, 0.1, 1.0)
         tr.append(2, 2.0, 0.9, 0.1, 1.0)
         assert len(tr.warnings) == 1
+
+
+def _ref_convex_step(u_prev, params):
+    """The convex step as one upper-form banded Cholesky solve."""
+    along_x1 = params.axis == Axis.X1
+    g1 = diff(u_prev, Axis.X1, 1).values
+    w = g1 * g1 + params.eps if params.q == 2 else np.abs(g1) + params.eps
+    v, w = (a.T if along_x1 else a for a in (u_prev.values, w))
+    lines, n = v.shape
+    D = diff_matrix(n, u_prev.spacing(params.axis), params.k)
+    band = params.k + 1
+    rhs = (v / w).ravel()
+
+    def solve(mob):
+        ab = np.zeros((band + 1, lines, n))
+        for s in range(band + 1):
+            ab[band - s, :, s:] = params.alpha * (mob @ (D[:, : n - s] * D[:, s:]))
+        ab[band] += 1.0 / w
+        return solveh_banded(ab.reshape(band + 1, -1), rhs).reshape(lines, n)
+
+    if params.p == 2:
+        out = solve(np.ones(n))
+    else:
+        out = v
+        for _ in range(200):
+            g = out @ D.T
+            new = solve(1.0 / np.sqrt(g * g + params.beta**2))
+            rel = np.linalg.norm(new - out) / max(np.linalg.norm(out), 1e-300)
+            out = new
+            if rel <= 1e-6:
+                break
+    return u_prev.with_values(out.T if along_x1 else out)
+
+
+def _ref_iterate(u0, params, m_max, stop_tol):
+    """The lagged iteration with every quantity recomputed from its field:
+    five differences per iteration."""
+    cell = u0.dx1 * u0.dx2
+
+    def reg(u):
+        g = diff(u, params.axis, params.k).values
+        integrand = 0.5 * g * g if params.p == 2 else np.sqrt(g * g + params.beta**2)
+        return float(cell * np.sum(integrand))
+
+    trace = IterTrace()
+    u_prev = u0
+    for m in range(1, m_max + 1):
+        u = _ref_convex_step(u_prev, params)
+        r = u.values - u_prev.values
+        du = float(np.sqrt(cell * np.sum(r**2)))
+        g1 = diff(u_prev, Axis.X1, 1).values
+        w = g1 * g1 + params.eps if params.q == 2 else np.abs(g1) + params.eps
+        fc = 0.5 * cell * np.sum(r * r / w) + params.alpha * reg(u)
+        trace.append(m, fc, reg(u), du, float(np.abs(diff(u, Axis.X1, 1).values).max()))
+        u_prev = u
+        if du <= stop_tol:
+            break
+    return u_prev, trace
+
+
+class TestIterateReference:
+    """iterate agrees with the recomputing iteration to rounding."""
+
+    @pytest.mark.parametrize("axis", list(Axis), ids=lambda a: a.name)
+    @pytest.mark.parametrize("k", [1, 2])
+    @pytest.mark.parametrize("p", [1, 2])
+    @pytest.mark.parametrize("q", [1, 2])
+    @pytest.mark.parametrize("stop", [0.0, 0.01])
+    def test_iterates_and_trace_agree(self, axis, k, p, q, stop):
+        # non-square grid with dx1 != dx2; stop (times ||u0||) ends some runs early
+        rng = np.random.default_rng(10 * k + 4 * p + 2 * q + int(axis))
+        base = np.sin(np.linspace(0.0, 3.0, 17))[:, None] * np.ones(14)
+        u0 = ScalarField(base + 0.3 * rng.standard_normal((17, 14)), 0.1, 0.07)
+        params = EnergyParams(axis=axis, k=k, p=p, q=q, alpha=1e-4, eps=1e-2, beta=1.0)
+        stop_tol = stop * norm_l2(u0)
+        u, trace = iterate(u0, params, m_max=6, stop_tol=stop_tol)
+        ref_u, ref = _ref_iterate(u0, params, 6, stop_tol)
+        scale = np.abs(ref_u.values).max()
+        assert np.abs(u.values - ref_u.values).max() <= 1e-12 * scale
+        assert trace.m == ref.m and trace.warnings == ref.warnings
+        assert trace.converged == (ref.du_l2[-1] <= stop_tol)
+        for col in ("fc", "reg", "du_l2", "grad_linf"):
+            assert np.allclose(getattr(trace, col), getattr(ref, col), rtol=1e-12, atol=0.0), col
