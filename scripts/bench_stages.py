@@ -7,7 +7,9 @@ Times, at n = 128, 90 angles, seed 7, jitter bound a = pi/18 and one BLAS
 thread: `radon_perturbed`, `fbp` of its sinogram, the fig5 flow (the
 [flow] settings of configs/fig5.cfg), `convex_step` with p = 2 and with
 p = 1 on that sinogram (k = 1, q = 2, alpha = 1e-3, eps = 1e-3 * ptp^2),
-`block_assign_columns` with M = 10 and `jitter_correct_rows` with M = 5.
+`block_assign_columns` with M = 10 and `jitter_correct_rows` with M = 5;
+then `radon_perturbed` and `fbp` once more at the larger size n = 256,
+180 angles (same seed and bound), printed with the suffix `_256x180`.
 Each stage runs N times (default 5) in this process; the best time, in
 milliseconds, is printed with the settings as one JSON line.  Only the
 public API is called and nothing is written.
@@ -43,6 +45,7 @@ from dispflow import (  # noqa: E402
 from dispflow.experiment import load_config  # noqa: E402
 
 N, N_ANGLES, SEED, A = 128, 90, 7, math.pi / 18
+LARGE_N, LARGE_ANGLES = 256, 180
 ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
 
 
@@ -62,10 +65,17 @@ def main(argv=None) -> int:
     if args.repeat < 1:
         ap.error("--repeat must be at least 1")
 
-    ph = shepp_logan(N)
-    angles = np.arange(N_ANGLES) * math.pi / N_ANGLES
-    pert = sample_uniform_displacement(angles, A, SEED)
-    sino = radon_perturbed(ph, angles, None, pert, 0.0, SEED)
+    def tomo_stages(n, n_angles, suffix=""):
+        ph = shepp_logan(n)
+        angles = np.arange(n_angles) * math.pi / n_angles
+        pert = sample_uniform_displacement(angles, A, SEED)
+        sino = radon_perturbed(ph, angles, None, pert, 0.0, SEED)
+        return sino, {
+            "radon_perturbed" + suffix: lambda: radon_perturbed(ph, angles, None, pert, 0.0, SEED),
+            "fbp" + suffix: lambda: fbp(sino, n),
+        }
+
+    sino, stages = tomo_stages(N, N_ANGLES)
     v = sino.field
     fig5 = load_config(os.path.join(ROOT, "configs", "fig5.cfg"))
     eps = 1e-3 * float(np.ptp(v.values)) ** 2
@@ -73,15 +83,14 @@ def main(argv=None) -> int:
     def step(p):
         return EnergyParams(axis=Axis.X1, k=1, p=p, q=2, alpha=1e-3, eps=eps)
 
-    stages = {
-        "radon_perturbed": lambda: radon_perturbed(ph, angles, None, pert, 0.0, SEED),
-        "fbp": lambda: fbp(sino, N),
+    stages.update({
         "fig5_flow": lambda: evolve(v, fig5.flow, fig5.t_end),
         "convex_step_p2": lambda: convex_step(v, step(2)),
         "convex_step_p1": lambda: convex_step(v, step(1)),
         "block_assign_columns_M10": lambda: block_assign_columns(v, 10),
         "jitter_correct_rows_M5": lambda: jitter_correct_rows(v, 5),
-    }
+    })
+    stages.update(tomo_stages(LARGE_N, LARGE_ANGLES, f"_{LARGE_N}x{LARGE_ANGLES}")[1])
     out = {"n": N, "angles": N_ANGLES, "seed": SEED, "repeat": args.repeat, "unit": "ms"}
     out.update({name: round(best_ms(fn, args.repeat), 3) for name, fn in stages.items()})
     print(json.dumps(out))

@@ -11,6 +11,8 @@ from dispflow.tomo import (
     TomoError,
     _BLOCK,
     _project,
+    _ray_spans,
+    _support_box,
     default_offsets,
     fbp,
     radon,
@@ -204,6 +206,175 @@ class TestProjectorReference:
         new = _project(f, angles, offsets)
         assert new.shape == (angles.size, n_offsets)
         assert np.array_equal(new, _masked_project(f, angles, offsets))
+
+
+def _pixel(n, i, j):
+    img = np.zeros((n, n))
+    img[i, j] = 1.0
+    return ScalarField(img, 2.0 / n, 2.0 / n)
+
+
+def _negative_patch(n):
+    img = np.zeros((n, n))
+    img[n // 2 - 3 : n // 2 + 2, 4:9] = -0.7 * (1.0 + np.arange(5) / 10.0)
+    return ScalarField(img, 2.0 / n, 2.0 / n)
+
+
+_N_CLIP = 32
+# single pixels at the four corners and the middle of the four edges
+_PIXELS = [(0, 0), (0, 31), (31, 0), (31, 31), (0, 16), (16, 0), (31, 16), (16, 31)]
+_CLIP_IMAGES = {
+    **{f"pixel{i}_{j}": _pixel(_N_CLIP, i, j) for i, j in _PIXELS},
+    "shepp_logan": shepp_logan(_N_CLIP),
+    "disk": disk_image(_N_CLIP, 0.5),
+    "zero": ScalarField(np.zeros((_N_CLIP, _N_CLIP))),
+    "negative_patch": _negative_patch(_N_CLIP),
+}
+# exactly 0 (sin = 0) and pi/2, generic, negative and >= pi
+_CLIP_ANGLES = np.array([
+    0.0, math.pi / 2, 0.3, 1.1, 2.0, 2.9,
+    -1e-3, -math.pi / 4, -2.5, math.pi, math.pi + 0.4, 5.0, 2 * math.pi + 1.2,
+])
+
+
+class TestSupportClipping:
+    # "wide" also has offsets past the image diagonal, whose rays miss it
+    @pytest.mark.parametrize("n_offsets", [None, _BLOCK - 1, _BLOCK + 1, "wide"])
+    @pytest.mark.parametrize("name", sorted(_CLIP_IMAGES))
+    def test_clipped_projector_equals_masked_gather(self, name, n_offsets):
+        f = _CLIP_IMAGES[name]
+        if n_offsets == "wide":
+            offsets = np.linspace(-3.0, 3.0, 41)
+        else:
+            offsets = default_offsets(_N_CLIP, n_offsets)
+        new = _project(f, _CLIP_ANGLES, offsets)
+        ref = _masked_project(f, _CLIP_ANGLES, offsets)
+        assert np.array_equal(new, ref)
+        assert np.array_equal(np.signbit(new), np.signbit(ref))
+
+    @pytest.mark.parametrize("name", ["pixel0_0", "pixel31_16", "negative_patch", "shepp_logan"])
+    def test_spans_hold_every_nonzero_sample_and_a_zero_margin(self, name):
+        # every sample outside a ray's span reads zero, and a span that does
+        # not reach an end of the ray starts and ends on a zero sample: the
+        # margin of at least one sample beyond the support box
+        f = _CLIP_IMAGES[name]
+        n = _N_CLIP
+        offsets = default_offsets(n)
+        nt = int(math.ceil(2.0 * math.sqrt(2.0) * n)) + 1
+        t = np.linspace(-math.sqrt(2.0), math.sqrt(2.0), nt)
+        box = _support_box(f.values)
+        idx = np.arange(nt)
+        skipped = 0
+        for th in _CLIP_ANGLES:
+            c, s = math.cos(th), math.sin(th)
+            first, end = _ray_spans(box, c, s, offsets, t, 2.0 / n)
+            skipped += np.sum(nt - (end - first))
+            x = offsets[:, None] * c - t[None, :] * s
+            y = offsets[:, None] * s + t[None, :] * c
+            vals = _masked_bilinear(f.values, x, y, n)
+            inside = (idx >= first[:, None]) & (idx < end[:, None])
+            assert np.all(vals[~inside] == 0.0)
+            for i in np.flatnonzero(end > first):
+                if first[i] > 0:
+                    assert vals[i, first[i]] == 0.0
+                if end[i] < nt:
+                    assert vals[i, end[i] - 1] == 0.0
+        assert skipped > 0  # the clipping skips samples
+
+    def test_negative_zero_pixels_count_as_support(self):
+        # a -0.0 sample keeps its sign in the gather, so it must be built
+        img = np.zeros((_N_CLIP, _N_CLIP))
+        img[10:20, 12:15] = -0.0
+        ones = np.zeros((_N_CLIP, _N_CLIP))
+        ones[10:20, 12:15] = 1.0
+        assert _support_box(img) == _support_box(ones) is not None
+        assert _support_box(np.zeros((_N_CLIP, _N_CLIP))) is None
+
+
+def _full_grid_fbp(s, n_out, filter="ram-lak", backproject_angles=None):
+    """Reference FBP: backprojects every pixel, then zeroes those outside
+    the unit disk."""
+    bp_angles = s.angles if backproject_angles is None else np.asarray(backproject_angles)
+    rows = s.field.values
+    n_off = rows.shape[1]
+    n_pad = 1 << int(math.ceil(math.log2(2 * n_off)))
+    H = tomo._ramp_filter(n_pad, s.d_offset, filter)
+    filtered = np.fft.ifft(np.fft.fft(rows, n=n_pad, axis=1) * H[None, :], axis=1)
+    filtered = filtered.real[:, :n_off]
+    c = (np.arange(n_out) + 0.5) * (2.0 / n_out) - 1.0
+    X, Y = np.meshgrid(c, c, indexing="ij")
+    out = np.zeros((n_out, n_out))
+    for j, th in enumerate(bp_angles):
+        l = X * math.cos(th) + Y * math.sin(th)
+        fi = (l - s.offsets[0]) / s.d_offset
+        i0 = np.clip(np.floor(fi).astype(np.int64), 0, n_off - 2)
+        t = np.clip(fi - i0, 0.0, 1.0)
+        out += (1 - t) * filtered[j, i0] + t * filtered[j, i0 + 1]
+    out *= math.pi / len(s.angles)
+    out[X * X + Y * Y > 1.0] = 0.0
+    return out
+
+
+class TestDiskOnlyFBP:
+    @pytest.mark.parametrize("n_out", [16, 31, 64, 65])
+    @pytest.mark.parametrize("override", [False, True], ids=["labels", "override"])
+    def test_equals_full_grid_backprojection(self, n_out, override):
+        ph = shepp_logan(48)
+        pert = sample_uniform_displacement(ANGLES_90[::3], math.pi / 18, seed=2)
+        s = radon_perturbed(ph, ANGLES_90[::3], None, pert)
+        bp = s.angles + pert.d if override else None
+        rec = fbp(s, n_out, backproject_angles=bp).values
+        ref = _full_grid_fbp(s, n_out, backproject_angles=bp)
+        assert np.array_equal(rec, ref)
+        assert np.array_equal(np.signbit(rec), np.signbit(ref))
+
+
+class TestAngleWrapping:
+    def test_shifted_angles_wrap_into_the_sinogram(self):
+        # the old failure: the last rows of angles + a/2 lie at or past pi
+        ph = shepp_logan(32)
+        a = math.pi / 18
+        angles = ANGLES_90 + a / 2
+        s = radon(ph, angles)
+        wrapped = angles >= math.pi
+        assert wrapped.sum() == 2
+        assert np.all(np.diff(s.angles) > 0) and s.angles[-1] < math.pi
+        k = int(wrapped.sum())
+        assert np.array_equal(s.angles[:k], angles[wrapped] - math.pi)
+        assert np.array_equal(s.angles[k:], angles[~wrapped])
+        # unwrapped rows are the plain projections, bit for bit
+        offsets = default_offsets(32)
+        assert np.array_equal(s.field.values[k:], _project(ph, angles[~wrapped], offsets))
+        # a wrapped row is the projection at theta - pi
+        direct = _project(ph, angles[wrapped] - math.pi, offsets)
+        scale = np.abs(direct).max()
+        assert np.abs(s.field.values[:k] - direct).max() <= 1e-12 * scale
+
+    def test_negative_angle_wraps_up(self):
+        ph = shepp_logan(32)
+        s = radon(ph, np.array([-0.2, 0.5]))
+        assert s.angles[0] == 0.5
+        assert s.angles[1] == pytest.approx(math.pi - 0.2, abs=1e-15)
+        direct = _project(ph, np.array([math.pi - 0.2]), default_offsets(32))[0]
+        assert np.abs(s.field.values[1] - direct).max() <= 1e-12 * np.abs(direct).max()
+
+    def test_angles_in_range_are_byte_identical(self):
+        ph = shepp_logan(32)
+        angles = np.array([0.0, 0.4, 1.1, math.pi - 1e-12])
+        s = radon(ph, angles)
+        assert s.angles.tobytes() == angles.tobytes()
+        rows = _project(ph, angles, default_offsets(32))
+        assert s.field.values.tobytes() == rows.tobytes()
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_angle_rejected(self, bad):
+        with pytest.raises(TomoError, match=r"^angles and displacements must be finite$"):
+            radon(shepp_logan(16), np.array([0.1, bad]))
+
+    @pytest.mark.parametrize("angles", [[0.0, math.pi], [0.3, 0.3], [2.0, 2.0 - math.pi]])
+    def test_coinciding_labels_rejected(self, angles):
+        with pytest.raises(TomoError, match=r"^angles \S+ and \S+ coincide after wrapping mod pi$"):
+            radon(shepp_logan(16), np.array(angles))
 
 
 class TestPerturbation:
