@@ -13,6 +13,12 @@ then `radon_perturbed` and `fbp` once more at the larger size n = 256,
 Each stage runs N times (default 5) in this process; the best time, in
 milliseconds, is printed with the settings as one JSON line.  Only the
 public API is called and nothing is written.
+
+The cold start is measured first: N fresh interpreters, with this
+process's environment (so one BLAS thread), each time `import dispflow`
+from the package this script imports.  `import_ms` is the best of those
+times and `import_rss_mb` the lowest of the children's peak resident set
+(`ru_maxrss`).
 """
 
 from __future__ import annotations
@@ -25,11 +31,13 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 import argparse  # noqa: E402
 import json  # noqa: E402
 import math  # noqa: E402
+import subprocess  # noqa: E402
 import sys  # noqa: E402
 import time  # noqa: E402
 
 import numpy as np  # noqa: E402
 
+import dispflow  # noqa: E402
 from dispflow import (  # noqa: E402
     Axis,
     EnergyParams,
@@ -56,6 +64,26 @@ def best_ms(fn, repeat: int) -> float:
         fn()
         best = min(best, time.perf_counter() - t0)
     return 1e3 * best
+
+
+IMPORT_CHILD = """
+import resource, sys, time
+sys.path.insert(0, sys.argv[1])
+t0 = time.perf_counter()
+import dispflow
+print(time.perf_counter() - t0, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+"""
+
+
+def cold_start(repeat: int) -> dict:
+    src = os.path.dirname(os.path.dirname(os.path.abspath(dispflow.__file__)))
+    cmd = [sys.executable, "-c", IMPORT_CHILD, src]
+    runs = [subprocess.run(cmd, capture_output=True, text=True, check=True).stdout.split()
+            for _ in range(repeat)]
+    return {
+        "import_ms": round(1e3 * min(float(t) for t, _ in runs), 3),
+        "import_rss_mb": round(min(int(kb) for _, kb in runs) / 1024.0, 3),
+    }
 
 
 def main(argv=None) -> int:
@@ -92,6 +120,7 @@ def main(argv=None) -> int:
     })
     stages.update(tomo_stages(LARGE_N, LARGE_ANGLES, f"_{LARGE_N}x{LARGE_ANGLES}")[1])
     out = {"n": N, "angles": N_ANGLES, "seed": SEED, "repeat": args.repeat, "unit": "ms"}
+    out.update(cold_start(args.repeat))
     out.update({name: round(best_ms(fn, args.repeat), 3) for name, fn in stages.items()})
     print(json.dumps(out))
     return 0

@@ -3,9 +3,9 @@ correction -> reconstruction -> metrics, with all intermediates on disk.
 
 Config files are plain line-based ``key = value`` with ``[section]``
 headers (parsed by configparser).  Sections: [experiment], [tomo],
-[flow], [varsolve], [discrete].  Every run writes a ``config.echo.cfg``
-copy and a ``metrics.csv`` next to the field artifacts so a run is
-reproducible from its output directory alone.
+[image], [flow], [varsolve], [discrete].  Every run writes a
+``config.echo.cfg`` copy and a ``metrics.csv`` next to the field artifacts
+so a run is reproducible from its output directory alone.
 """
 
 from __future__ import annotations
@@ -201,6 +201,9 @@ def _echo_config(cfg: ExperimentConfig, outdir: str):
     lines += ["", "[tomo]"]
     for key in ("n", "n_out", "variant", "angle_step", "a", "noise", "seed",
                 "filter", "compensate"):
+        lines.append(f"{key} = {getattr(cfg, key)}")
+    lines += ["", "[image]", f"n = {cfg.image_n}"]
+    for key in ("strip_width", "amplitude", "dx1", "dx2"):
         lines.append(f"{key} = {getattr(cfg, key)}")
     fp = cfg.flow
     lines += ["", "[flow]",

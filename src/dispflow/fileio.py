@@ -28,6 +28,17 @@ def write_pgm(path, f: ScalarField):
         fh.write(q.tobytes())
 
 
+def _dispflow_comment(text):
+    """(lo, hi, dx1, dx2) from '# dispflow range lo hi spacing dx1 dx2'."""
+    t = text.split()
+    try:
+        if len(t) == 8 and t[2] == "range" and t[5] == "spacing":
+            return tuple(float(t[i]) for i in (3, 4, 6, 7))
+    except ValueError:
+        pass
+    raise FormatError(f"malformed dispflow comment in PGM header: {text.strip()!r}")
+
+
 def read_pgm(path) -> ScalarField:
     with open(path, "rb") as fh:
         data = fh.read()
@@ -47,10 +58,9 @@ def read_pgm(path) -> ScalarField:
             raise FormatError("truncated PGM header")
         if data[pos : pos + 1] == b"#":
             end = data.index(b"\n", pos)
-            comment = data[pos:end].decode("ascii", "replace").split()
-            if len(comment) >= 7 and comment[1] == "dispflow":
-                lo, hi = float(comment[3]), float(comment[4])
-                dx1, dx2 = float(comment[6]), float(comment[7])
+            text = data[pos:end].decode("ascii", "replace")
+            if text.split()[1:2] == ["dispflow"]:
+                lo, hi, dx1, dx2 = _dispflow_comment(text)
             pos = end + 1
             continue
         start = pos

@@ -20,7 +20,6 @@ import io
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import solveh_banded
 
 from .grid import Axis, ScalarField, diff, diff_matrix, norm_l2, norm_linf
 
@@ -155,6 +154,9 @@ def convex_step(u_prev: ScalarField, params: EnergyParams) -> ScalarField:
     end, form one SPD matrix of half-bandwidth k+1 with no entry coupling
     two lines, factored by a single banded Cholesky solve.
     """
+    # imported here so that the package and every other pipeline load without scipy
+    from scipy.linalg import solveh_banded
+
     along_x1 = params.axis == Axis.X1
     v = u_prev.values.T if along_x1 else u_prev.values  # one line per row
     w = _weight(_d1(u_prev), params.q, params.eps)

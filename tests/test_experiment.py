@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 
@@ -7,6 +8,7 @@ import pytest
 from dispflow.experiment import (
     ConfigError,
     ExperimentConfig,
+    _echo_config,
     load_config,
     parse_angle,
     run_experiment,
@@ -65,6 +67,14 @@ class TestLoadConfig:
             load_config(p)
         with pytest.raises(ConfigError, match="must be non-negative"):
             ExperimentConfig(a=float(a), noise=float(noise))
+
+    @pytest.mark.parametrize("name", SHIPPED)
+    def test_echo_loads_back_to_the_same_experiment(self, tmp_path, name):
+        # a run is reproducible from its output directory: only outdir differs
+        cfg = load_config(os.path.join(CONFIG_DIR, f"{name}.cfg"))
+        _echo_config(cfg, str(tmp_path))
+        echo = load_config(tmp_path / "config.echo.cfg")
+        assert dataclasses.replace(echo, outdir=cfg.outdir) == cfg
 
 
 def small_tomo_cfg(tmp_path, correction="none", extra=""):

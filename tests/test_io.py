@@ -67,6 +67,25 @@ class TestPGM:
         with pytest.raises(FormatError):
             read_pgm(p)
 
+    @staticmethod
+    def _with_comment(path, comment):
+        path.write_bytes(b"P5\n" + comment + b"\n2 2\n65535\n" + bytes(8))
+        return path
+
+    @pytest.mark.parametrize(
+        "comment",
+        [b"# dispflow range 0.0 1.0 spacing 0.1", b"# dispflow range abc 1.0 spacing 0.1 0.1"],
+        ids=["missing-spacing", "non-numeric-range"],
+    )
+    def test_rejects_malformed_dispflow_comment(self, tmp_path, comment):
+        with pytest.raises(FormatError, match="malformed dispflow comment") as info:
+            read_pgm(self._with_comment(tmp_path / "c.pgm", comment))
+        assert "\n" not in str(info.value) and comment.decode() in str(info.value)
+
+    def test_other_comments_are_ignored(self, tmp_path):
+        g = read_pgm(self._with_comment(tmp_path / "c.pgm", b"# written by another tool"))
+        assert np.array_equal(g.values, np.zeros((2, 2)))
+
 
 class TestCSV:
     def test_lossless_round_trip(self, tmp_path):
