@@ -7,12 +7,21 @@ Times, at n = 128, 90 angles, seed 7, jitter bound a = pi/18 and one BLAS
 thread: `radon_perturbed`, `fbp` of its sinogram, the fig5 flow (the
 [flow] settings of configs/fig5.cfg), `convex_step` with p = 2 and with
 p = 1 on that sinogram (k = 1, q = 2, alpha = 1e-3, eps = 1e-3 * ptp^2),
-`block_assign_columns` with M = 10 and `jitter_correct_rows` with M = 5;
+`iterate_k1p2q2` (50 lagged iterations with the p = 2 settings,
+stop_tol = 0), `block_assign_columns` with M = 10 and
+`jitter_correct_rows` with M = 5;
 then `radon_perturbed` and `fbp` once more at the larger size n = 256,
 180 angles (same seed and bound), printed with the suffix `_256x180`.
-Each stage runs N times (default 5) in this process; the best time, in
-milliseconds, is printed with the settings as one JSON line.  Only the
-public API is called and nothing is written.
+The explicit flow stepper is timed on its own inputs: `fig2_flow` and
+`fig3_flow` evolve the input images of configs/fig2.cfg and fig3.cfg
+under their [flow] settings, and `strip_step_us` is one step of
+acceptance criterion 3's (k, p, q) = (2, 2, 2) strip (64 x 4, amplitude
+1e4, dx 0.1) in microseconds: the best time of a run to t_end = 5e-11
+(about 4,400 steps) over its step count.  Each stage runs N times
+(default 5) in this process; the best time, in milliseconds unless the
+name says otherwise, is printed with the settings as one JSON line.  Only
+the public API and the configs' image builders are called, and nothing is
+written.
 
 The cold start is measured first: N fresh interpreters, with this
 process's environment (so one BLAS thread), each time `import dispflow`
@@ -41,19 +50,23 @@ import dispflow  # noqa: E402
 from dispflow import (  # noqa: E402
     Axis,
     EnergyParams,
+    FlowParams,
+    ScalarField,
     block_assign_columns,
     convex_step,
     evolve,
     fbp,
+    iterate,
     jitter_correct_rows,
     radon_perturbed,
     sample_uniform_displacement,
     shepp_logan,
 )
-from dispflow.experiment import load_config  # noqa: E402
+from dispflow.experiment import _interface_image, _strip_image, load_config  # noqa: E402
 
 N, N_ANGLES, SEED, A = 128, 90, 7, math.pi / 18
 LARGE_N, LARGE_ANGLES = 256, 180
+STRIP_T_END = 5e-11
 ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
 
 
@@ -115,13 +128,27 @@ def main(argv=None) -> int:
         "fig5_flow": lambda: evolve(v, fig5.flow, fig5.t_end),
         "convex_step_p2": lambda: convex_step(v, step(2)),
         "convex_step_p1": lambda: convex_step(v, step(1)),
+        "iterate_k1p2q2": lambda: iterate(v, step(2), m_max=50, stop_tol=0.0),
         "block_assign_columns_M10": lambda: block_assign_columns(v, 10),
         "jitter_correct_rows_M5": lambda: jitter_correct_rows(v, 5),
     })
+    for name, image in (("fig2", _strip_image), ("fig3", _interface_image)):
+        cfg = load_config(os.path.join(ROOT, "configs", name + ".cfg"))
+        f0 = image(cfg)
+        stages[name + "_flow"] = lambda cfg=cfg, f0=f0: evolve(f0, cfg.flow, cfg.t_end)
     stages.update(tomo_stages(LARGE_N, LARGE_ANGLES, f"_{LARGE_N}x{LARGE_ANGLES}")[1])
+
+    strip = np.zeros((64, 4))
+    strip[29:34] = 1e4  # criterion 3's strip: width 5, centred
+    strip = ScalarField(strip, 0.1, 0.1)
+    strip_params = FlowParams(axis=Axis.X1, k=2, p=2, q=2)
+    strip_steps = evolve(strip, strip_params, STRIP_T_END).steps
+
     out = {"n": N, "angles": N_ANGLES, "seed": SEED, "repeat": args.repeat, "unit": "ms"}
     out.update(cold_start(args.repeat))
     out.update({name: round(best_ms(fn, args.repeat), 3) for name, fn in stages.items()})
+    strip_ms = best_ms(lambda: evolve(strip, strip_params, STRIP_T_END), args.repeat)
+    out["strip_step_us"] = round(1e3 * strip_ms / strip_steps, 3)
     print(json.dumps(out))
     return 0
 

@@ -28,15 +28,21 @@ def write_pgm(path, f: ScalarField):
         fh.write(q.tobytes())
 
 
-def _dispflow_comment(text):
-    """(lo, hi, dx1, dx2) from '# dispflow range lo hi spacing dx1 dx2'."""
+def _dispflow_values(text, form, where):
+    """The numbers of a '# dispflow' header line in the writer's form, whose
+    tokens form lists with None for each number; anything else is a
+    FormatError naming the line."""
     t = text.split()
     try:
-        if len(t) == 8 and t[2] == "range" and t[5] == "spacing":
-            return tuple(float(t[i]) for i in (3, 4, 6, 7))
+        if len(t) == len(form) and all(f is None or f == x for f, x in zip(form, t)):
+            return tuple(float(x) for f, x in zip(form, t) if f is None)
     except ValueError:
         pass
-    raise FormatError(f"malformed dispflow comment in PGM header: {text.strip()!r}")
+    raise FormatError(f"malformed dispflow comment in {where} header: {text.strip()!r}")
+
+
+_PGM_COMMENT = ("#", "dispflow", "range", None, None, "spacing", None, None)
+_CSV_COMMENT = ("#", "dispflow", "spacing", None, None)
 
 
 def read_pgm(path) -> ScalarField:
@@ -57,17 +63,23 @@ def read_pgm(path) -> ScalarField:
         if pos >= len(data):
             raise FormatError("truncated PGM header")
         if data[pos : pos + 1] == b"#":
-            end = data.index(b"\n", pos)
-            text = data[pos:end].decode("ascii", "replace")
+            end = data.find(b"\n", pos)
+            text = data[pos : end if end >= 0 else pos + 80].decode("ascii", "replace")
+            if end < 0:
+                raise FormatError(f"unterminated comment in PGM header: {text!r}")
             if text.split()[1:2] == ["dispflow"]:
-                lo, hi, dx1, dx2 = _dispflow_comment(text)
+                lo, hi, dx1, dx2 = _dispflow_values(text, _PGM_COMMENT, "PGM")
             pos = end + 1
             continue
         start = pos
         while pos < len(data) and not data[pos : pos + 1].isspace():
             pos += 1
         tokens.append(data[start:pos])
-    width, height, maxval = (int(t) for t in tokens)
+    try:
+        width, height, maxval = (int(t) for t in tokens)
+    except ValueError:
+        header = b" ".join(tokens).decode("ascii", "replace")
+        raise FormatError(f"non-integer width, height or maxval in PGM header: {header!r}") from None
     if maxval != 65535:
         raise FormatError(f"expected maxval 65535, got {maxval}")
     pos += 1  # single whitespace after maxval
@@ -93,8 +105,7 @@ def read_csv(path) -> ScalarField:
     with open(path) as fh:
         first = fh.readline()
         if first.startswith("# dispflow spacing"):
-            parts = first.split()
-            dx1, dx2 = float(parts[3]), float(parts[4])
+            dx1, dx2 = _dispflow_values(first, _CSV_COMMENT, "CSV")
         else:
             fh.seek(0)
         v = np.loadtxt(fh, delimiter=",", ndmin=2)

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import Axis, GridError, ScalarField, diff_axis0, row_pair
+from .grid import Axis, GridError, ScalarField, diff_axis0_kernel, row_pair
 
 #: hard floor used in the CFL bound so a flat field never divides by zero
 DT_FLOOR = 1e-12
@@ -83,33 +83,46 @@ def _flow_layout(values: np.ndarray, params: FlowParams) -> np.ndarray:
 
 
 class _Workspace:
-    """Buffers for evaluating one flow on one grid, in the flow layout.
+    """One flow on one grid, in the flow layout: its buffers and, for each
+    field buffer it may read, that buffer's bound kernels.
 
     mob and rhs hold the mobility and the right-hand side; inner holds the
     k=1 face fluxes (n+1 rows) or the k=2 inner second difference, and
-    scratch the p=1 quotient's and CFL bound's temporaries."""
+    scratch the p=1 quotient's and CFL bound's temporaries.  kernels[i] is
+    (mobility, rhs, stable_dt) for fields[i]: functions of no argument whose
+    views and temporaries are built here, so evaluating them allocates
+    nothing.  Each reads the field's current values, rhs reads mob, and
+    stable_dt reads mob and uses inner and scratch, not rhs."""
 
-    def __init__(self, shape, params: FlowParams):
-        n, m = shape if params.axis == Axis.X1 else shape[::-1]
+    def __init__(self, fields, dx1: float, dx: float, params: FlowParams):
+        n, m = fields[0].shape
         self.mob = np.empty((n, m))
         self.rhs = np.empty((n, m))
         self.inner = np.empty((n + 1 if params.k == 1 else n, m))
         self.scratch = np.empty_like(self.inner)
+        self.kernels = [
+            (_mobility(v, dx1, params, self.mob), _rhs(v, dx, params, self),
+             _stable_dt(v, dx, params, self))
+            for v in fields
+        ]
 
 
-def _mobility(v: np.ndarray, dx1: float, params: FlowParams, out: np.ndarray) -> np.ndarray:
-    """|d1 u|^q + eps into out; v and out are in the flow layout."""
-    if params.axis == Axis.X1:
-        diff_axis0(v, dx1, 1, out)
-    else:
-        diff_axis0(v.T, dx1, 1, out.T)
-    if params.q == 2:
-        np.multiply(out, out, out=out)  # |g|^2 == g * g exactly
-    else:
-        np.abs(out, out=out)
-    if params.eps:  # adding 0.0 to a non-negative mobility changes nothing
-        out += params.eps
-    return out
+def _mobility(v: np.ndarray, dx1: float, params: FlowParams, out: np.ndarray):
+    """|d1 u|^q + eps into out, bound to v; v and out are in the flow layout."""
+    # _flow_layout undoes itself: v and out with X1 first
+    d1 = diff_axis0_kernel(_flow_layout(v, params), dx1, 1, _flow_layout(out, params))
+
+    def run():
+        d1()
+        if params.q == 2:
+            np.multiply(out, out, out=out)  # |g|^2 == g * g exactly
+        else:
+            np.abs(out, out=out)
+        if params.eps:  # adding 0.0 to a non-negative mobility changes nothing
+            np.add(out, params.eps, out=out)
+        return out
+
+    return run
 
 
 def _quotient(g: np.ndarray, params: FlowParams, tmp: np.ndarray) -> np.ndarray:
@@ -122,101 +135,128 @@ def _quotient(g: np.ndarray, params: FlowParams, tmp: np.ndarray) -> np.ndarray:
     return g
 
 
-def _face_gradient(v: np.ndarray, dx: float, out: np.ndarray) -> np.ndarray:
-    """First derivative at the n+1 cell faces along axis 0, into out.
+def _face_gradient(v: np.ndarray, dx: float, out: np.ndarray):
+    """First derivative at the n+1 cell faces along axis 0 into out, bound
+    to v.
 
     Interior faces use the compact two-point difference; each boundary face
     copies the nearest interior face, so the flux divergence vanishes at the
     boundary cells.  This keeps affine fields exactly stationary and, unlike
     higher-order flux extrapolation, never injects energy at the boundary."""
     n = v.shape[0]
-    mid = out[1:-1]
-    np.subtract(v[1:], v[:-1], out=mid)
-    mid /= dx
-    out[::n] = row_pair(out, 1, n - 1)  # g[0] = g[1], g[-1] = g[-2]
-    return out
+    mid, hi, lo = out[1:-1], v[1:], v[:-1]
+    ends, near = out[::n], row_pair(out, 1, n - 1)  # g[0] = g[1], g[-1] = g[-2]
+
+    def run():
+        np.subtract(hi, lo, out=mid)
+        np.divide(mid, dx, out=mid)
+        np.copyto(ends, near)
+        return out
+
+    return run
 
 
-def _neumann_d2(v: np.ndarray, h2: float, out: np.ndarray) -> np.ndarray:
-    """Second difference along axis 0 with even-reflection ghost cells
-    (zero odd derivative at the boundary faces), divided by h2 = dx^2, or by
-    -dx^2 for the negated operator: x / -h2 == -(x / h2) exactly.  The
-    resulting matrix is symmetric negative semidefinite, so the composed k=2
-    operator cannot inject energy at the boundary."""
+def _neumann_d2(v: np.ndarray, h2: float, out: np.ndarray):
+    """Second difference along axis 0 into out, bound to v, with
+    even-reflection ghost cells (zero odd derivative at the boundary faces),
+    divided by h2 = dx^2, or by -dx^2 for the negated operator:
+    x / -h2 == -(x / h2) exactly.  The resulting matrix is symmetric
+    negative semidefinite, so the composed k=2 operator cannot inject energy
+    at the boundary."""
     n = v.shape[0]
-    mid = out[1:-1]
-    # (v[:-2] - 2 v[1:-1] + v[2:]); (v[1] - v[0]) and (v[-2] - v[-1]) at the ends
-    np.multiply(2.0, v[1:-1], out=mid)
-    np.subtract(v[:-2], mid, out=mid)
-    mid += v[2:]
-    np.subtract(row_pair(v, 1, n - 2), row_pair(v, 0, n - 1), out=out[:: n - 1])
-    out /= h2
-    return out
+    mid, centre, lo, hi = out[1:-1], v[1:-1], v[:-2], v[2:]
+    ends, near, edge = out[:: n - 1], row_pair(v, 1, n - 2), row_pair(v, 0, n - 1)
+
+    def run():
+        # (v[:-2] - 2 v[1:-1] + v[2:]); (v[1] - v[0]) and (v[-2] - v[-1]) at the ends
+        np.multiply(2.0, centre, out=mid)
+        np.subtract(lo, mid, out=mid)
+        np.add(mid, hi, out=mid)
+        np.subtract(near, edge, out=ends)
+        np.divide(out, h2, out=out)
+        return out
+
+    return run
 
 
-def _rhs(v: np.ndarray, mob: np.ndarray, dx: float, params: FlowParams, ws: _Workspace) -> np.ndarray:
-    """Right-hand side into ws.rhs, given v and its mobility in the flow layout.
+def _rhs(v: np.ndarray, dx: float, params: FlowParams, ws: _Workspace):
+    """Right-hand side into ws.rhs, bound to v in the flow layout; reads
+    v's mobility from ws.mob.
 
     k=1 uses a staggered conservative form (flux at cell faces, divergence
     back to centers), which avoids the odd/even decoupling of composed
     wide central stencils; k=2 composes the self-adjoint reflection-BC
     second difference with itself, the outer one negated for the sign
     (-1)^(k-1)."""
-    out = ws.rhs
+    out, mob, inner, scratch = ws.rhs, ws.mob, ws.inner, ws.scratch
     if params.k == 1:
-        flux = _quotient(_face_gradient(v, dx, ws.inner), params, ws.scratch)
-        np.subtract(flux[1:], flux[:-1], out=out)
-        out /= dx
+        grad, hi, lo = _face_gradient(v, dx, inner), inner[1:], inner[:-1]
+
+        def run():
+            _quotient(grad(), params, scratch)
+            np.subtract(hi, lo, out=out)
+            np.divide(out, dx, out=out)
+            np.multiply(out, mob, out=out)
+            return out
     else:
         h2 = dx * dx
-        inner = _quotient(_neumann_d2(v, h2, ws.inner), params, ws.scratch)
-        _neumann_d2(inner, -h2, out)
-    out *= mob
-    return out
+        d2, outer = _neumann_d2(v, h2, inner), _neumann_d2(inner, -h2, out)
+
+        def run():
+            _quotient(d2(), params, scratch)
+            outer()
+            np.multiply(out, mob, out=out)
+            return out
+
+    return run
 
 
-def _stable_dt(v: np.ndarray, mob: np.ndarray, dx: float, params: FlowParams, ws: _Workspace) -> float:
-    """Parabolic CFL bound for the frozen-coefficient linearization.
+def _stable_dt(v: np.ndarray, dx: float, params: FlowParams, ws: _Workspace):
+    """Parabolic CFL bound for the frozen-coefficient linearization, bound
+    to v; reads v's mobility from ws.mob.
 
     dt = cfl * dx_i^(2k) / (2^(2k) * max coefficient), where the local
     coefficient is mobility times the derivative of the p=1 quotient
     (identically 1 for p=2).  Uses ws.inner and ws.scratch, not ws.rhs.
     """
-    if params.p == 2:
-        coeff = mob
-    else:
-        n = v.shape[0]
+    coeff, floor = ws.mob, max(params.eps, DT_FLOOR)
+    num, den = params.cfl * dx ** (2 * params.k), 2 ** (2 * params.k)
+    if params.p == 1:
+        n, mob, b2 = v.shape[0], ws.mob, params.beta**2
         g, coeff = ws.inner[:n], ws.scratch[:n]
-        b2 = params.beta**2
-        diff_axis0(v, dx, params.k, g)
-        # mob * b2 / (g * g + b2) ** 1.5
-        np.multiply(g, g, out=g)
-        g += b2
-        np.power(g, 1.5, out=g)
-        np.multiply(mob, b2, out=coeff)
-        coeff /= g
-    cmax = max(float(coeff.max()), max(params.eps, DT_FLOOR))
-    dt = params.cfl * dx ** (2 * params.k) / (2 ** (2 * params.k) * cmax)
-    return float(min(dt, params.dt_max))
+        diff = diff_axis0_kernel(v, dx, params.k, g)
+
+    def run():
+        if params.p == 1:
+            diff()
+            # mob * b2 / (g * g + b2) ** 1.5
+            np.multiply(g, g, out=g)
+            np.add(g, b2, out=g)
+            np.power(g, 1.5, out=g)
+            np.multiply(mob, b2, out=coeff)
+            np.divide(coeff, g, out=coeff)
+        cmax = max(float(coeff.max()), floor)
+        return float(min(num / (den * cmax), params.dt_max))
+
+    return run
 
 
 def flow_rhs(u: ScalarField, params: FlowParams) -> ScalarField:
     """Right-hand side of the flow evaluated with finite differences."""
     _check_shape(u.shape, params)
-    ws = _Workspace(u.shape, params)
     v = _flow_layout(u.values, params)
-    _mobility(v, u.dx1, params, ws.mob)
-    rhs = _rhs(v, ws.mob, u.spacing(params.axis), params, ws)
-    return u.with_values(_flow_layout(rhs, params))
+    mobility, rhs, _ = _Workspace((v,), u.dx1, u.spacing(params.axis), params).kernels[0]
+    mobility()
+    return u.with_values(_flow_layout(rhs(), params))
 
 
 def stable_dt(u: ScalarField, params: FlowParams) -> float:
     """Parabolic CFL bound of the explicit step at u (see _stable_dt)."""
     _check_shape(u.shape, params)
-    ws = _Workspace(u.shape, params)
     v = _flow_layout(u.values, params)
-    _mobility(v, u.dx1, params, ws.mob)
-    return _stable_dt(v, ws.mob, u.spacing(params.axis), params, ws)
+    mobility, _, dt = _Workspace((v,), u.dx1, u.spacing(params.axis), params).kernels[0]
+    mobility()
+    return dt()
 
 
 def evolve(
@@ -239,11 +279,21 @@ def evolve(
     reached and sets FlowState.truncated.  A grid too small for the
     stencils raises GridError before the first step.
 
+    An X1 flow steps each distinct column of u0 once: every stencil acts
+    within a column, and the reductions (max |rhs|, the CFL bound's maximum
+    coefficient, the initial range) take the same value over the distinct
+    columns as over all of them, so the result, t, the step count and the
+    residuals are bitwise those of stepping every column.  Columns are
+    grouped by their bytes, so -0.0 and 0.0 stay apart.  An X2 flow couples
+    its rows through the x1 mobility and steps the whole field.
+
     The loop runs in one workspace allocated per call: two field buffers
     that swap each step, in the flow layout (an X2 flow runs on the
-    contiguous transpose and is transposed back once at the end), and the
-    buffers of _Workspace.  It computes the mobility once per step for both
-    the rhs and the CFL bound and never writes into u0.
+    contiguous transpose), and the buffers and bound kernels of _Workspace,
+    so a step allocates no array and builds no view.  The result is
+    gathered back to u0's columns, or transposed back, once at the end.  It
+    computes the mobility once per step for both the rhs and the CFL bound
+    and never writes into u0.
 
     max_change additionally caps each step so no sample moves by more than
     that fraction of the initial dynamic range; the frozen-coefficient CFL
@@ -254,25 +304,30 @@ def evolve(
     if t_end < 0:
         raise FlowError("t_end must be non-negative")
     _check_shape(u0.shape, params)
-    ws = _Workspace(u0.shape, params)
-    u = np.array(_flow_layout(u0.values, params), order="C")
+    if params.axis == Axis.X1:
+        cols = np.ascontiguousarray(u0.values.T)  # the bytes of each column as one key
+        keys = cols.view(np.dtype((np.void, cols[0].nbytes))).ravel()
+        first, lines = np.unique(keys, return_index=True, return_inverse=True)[1:]
+        u = np.take(u0.values, first, axis=1)
+    else:
+        u = np.array(u0.values.T, order="C")
     nxt, finite = np.empty_like(u), np.empty(u.shape, dtype=bool)
-    dx1, dx = u0.dx1, u0.spacing(params.axis)
-    t, steps, last_dt, residuals = 0.0, 0, 0.0, []
+    ws = _Workspace((u, nxt), u0.dx1, u0.spacing(params.axis), params)
+    t, steps, last_dt, residuals, side = 0.0, 0, 0.0, [], 0
     u0range = float(np.max(u) - np.min(u))
     # overflow in a wildly unstable step surfaces as StabilityError below
     with np.errstate(over="ignore", invalid="ignore"):
         while t < t_end and steps < max_steps:
-            # one mobility per step, shared by the rhs and the CFL bound
-            mob = _mobility(u, dx1, params, ws.mob)
-            rhs = _rhs(u, mob, dx, params, ws)
+            mobility, rhs_of, stable_dt_of = ws.kernels[side]
+            mobility()  # one mobility per step, shared by the rhs and the CFL bound
+            rhs = rhs_of()
             res = float(np.abs(rhs, out=nxt).max())  # NaN and inf propagate
             if not math.isfinite(res):
                 raise StabilityError(f"non-finite rhs at step {steps}")
             residuals.append(res)
             if stop_residual is not None and res <= stop_residual:
                 break
-            base_dt = dt_override if dt_override is not None else _stable_dt(u, mob, dx, params, ws)
+            base_dt = dt_override if dt_override is not None else stable_dt_of()
             dt = min(base_dt, t_end - t)
             if max_change is not None and res > 0 and u0range > 0:
                 dt = min(dt, max_change * u0range / res)
@@ -280,7 +335,7 @@ def evolve(
             nxt += u  # u + dt * rhs
             if not np.isfinite(nxt, out=finite).all():
                 raise StabilityError(f"non-finite field after step {steps} (dt={dt:g})")
-            u, nxt = nxt, u
+            u, nxt, side = nxt, u, 1 - side
             t += dt
             steps += 1
             last_dt = dt
@@ -291,5 +346,5 @@ def evolve(
             RuntimeWarning,
             stacklevel=2,
         )
-    u = np.ascontiguousarray(_flow_layout(u, params))
+    u = np.take(u, lines, axis=1) if params.axis == Axis.X1 else np.ascontiguousarray(u.T)
     return FlowState(u0.with_values(u), t, steps, last_dt, residuals, truncated)

@@ -94,10 +94,12 @@ def row_pair(v: np.ndarray, i: int, j: int) -> np.ndarray:
 _D1_ENDS = tuple(np.array([[lo], [hi]]) for lo, hi in ((-1.5, 0.5), (2.0, -2.0), (-0.5, 1.5)))
 
 
-def diff_axis0(v: np.ndarray, dx: float, k: int, out: np.ndarray | None = None) -> np.ndarray:
-    """Order-k difference along axis 0 of a raw 2D array, written into out
-    (a new array if None): the one definition of the stencils behind
-    diff(), diff_matrix() and the flows' mobility.
+def diff_axis0_kernel(v: np.ndarray, dx: float, k: int, out: np.ndarray):
+    """The order-k difference along axis 0 of a raw 2D array v into out, as a
+    function of no arguments: the one definition of the stencils behind
+    diff(), diff_matrix() and the flows' mobility.  Its views of v and out
+    and its two end-row temporaries are built here, once, so each call
+    allocates nothing and reads v's current values.
 
     Central second-order stencils in the interior, second-order one-sided
     stencils at the two boundary samples (exact on polynomials of degree
@@ -106,35 +108,47 @@ def diff_axis0(v: np.ndarray, dx: float, k: int, out: np.ndarray | None = None) 
     their order of the scalar formula in the comments.  The caller checks
     that axis 0 holds at least 2k+1 samples.
     """
-    if out is None:
-        out = np.empty_like(v)
     n = v.shape[0]
     mid, ends = out[1:-1], out[:: n - 1]
-    # order="C" runs the row-pair arithmetic along the rows even where they
-    # are strided columns of a transposed array (an X2 difference)
+    e, tmp = np.empty((2, 2) + v.shape[1:])
     if k == 1:
         # out[1:-1] = (v[2:] - v[:-2]) / (2 dx)
-        np.subtract(v[2:], v[:-2], out=mid)
-        mid /= 2.0 * dx
+        hi, lo, h = v[2:], v[:-2], 2.0 * dx
         c0, c1, c2 = _D1_ENDS
-        e = np.multiply(c0, row_pair(v, 0, n - 3), order="C")
-        e += np.multiply(c1, row_pair(v, 1, n - 2), order="C")
-        e += np.multiply(c2, row_pair(v, 2, n - 1), order="C")
-        np.divide(e, dx, out=ends, order="C")
+        p0, p1, p2 = (row_pair(v, i, n - 3 + i) for i in range(3))
+
+        def run():
+            np.subtract(hi, lo, out=mid)
+            np.divide(mid, h, out=mid)
+            np.multiply(c0, p0, out=e)
+            np.add(e, np.multiply(c1, p1, out=tmp), out=e)
+            np.add(e, np.multiply(c2, p2, out=tmp), out=e)
+            np.divide(e, dx, out=ends)
+            return out
     else:
         # out[1:-1] = (v[2:] - 2 v[1:-1] + v[:-2]) / dx^2
         # out[0] = (2 v0 - 5 v1 + 4 v2 - v3) / dx^2, and mirrored at the end
-        h2 = dx * dx
-        np.multiply(2.0, v[1:-1], out=mid)
-        np.subtract(v[2:], mid, out=mid)
-        mid += v[:-2]
-        mid /= h2
-        e = np.multiply(2.0, row_pair(v, 0, n - 1), order="C")
-        e -= np.multiply(5.0, row_pair(v, 1, n - 2), order="C")
-        e += np.multiply(4.0, row_pair(v, 2, n - 3), order="C")
-        np.subtract(e, row_pair(v, 3, n - 4), out=e, order="C")
-        np.divide(e, h2, out=ends, order="C")
-    return out
+        h2, hi, centre, lo = dx * dx, v[2:], v[1:-1], v[:-2]
+        p0, p1, p2, p3 = (row_pair(v, i, n - 1 - i) for i in range(4))
+
+        def run():
+            np.multiply(2.0, centre, out=mid)
+            np.subtract(hi, mid, out=mid)
+            np.add(mid, lo, out=mid)
+            np.divide(mid, h2, out=mid)
+            np.multiply(2.0, p0, out=e)
+            np.subtract(e, np.multiply(5.0, p1, out=tmp), out=e)
+            np.add(e, np.multiply(4.0, p2, out=tmp), out=e)
+            np.subtract(e, p3, out=e)
+            np.divide(e, h2, out=ends)
+            return out
+    return run
+
+
+def diff_axis0(v: np.ndarray, dx: float, k: int, out: np.ndarray | None = None) -> np.ndarray:
+    """Order-k difference along axis 0 of a raw 2D array, written into out
+    (a new array if None); see diff_axis0_kernel."""
+    return diff_axis0_kernel(v, dx, k, np.empty_like(v) if out is None else out)()
 
 
 @lru_cache(maxsize=64)

@@ -154,12 +154,16 @@ def convex_step(u_prev: ScalarField, params: EnergyParams) -> ScalarField:
     end, form one SPD matrix of half-bandwidth k+1 with no entry coupling
     two lines, factored by a single banded Cholesky solve.
     """
+    return _convex_solve(u_prev, _weight(_d1(u_prev), params.q, params.eps), params)
+
+
+def _convex_solve(u_prev: ScalarField, w: np.ndarray, params: EnergyParams) -> ScalarField:
+    """convex_step given w, the data-term weight of u_prev."""
     # imported here so that the package and every other pipeline load without scipy
     from scipy.linalg import solveh_banded
 
     along_x1 = params.axis == Axis.X1
     v = u_prev.values.T if along_x1 else u_prev.values  # one line per row
-    w = _weight(_d1(u_prev), params.q, params.eps)
     w = w.T if along_x1 else w
     lines, n = v.shape
     D = diff_matrix(n, u_prev.spacing(params.axis), params.k)
@@ -203,8 +207,9 @@ def iterate(
     """Lagged convex iteration u_m = argmin Fc(u; u_{m-1}) starting at u0.
 
     d1 u_m is computed once per iterate: it gives grad_linf, the data-term
-    weight of the next Fc and, for (axis, k) = (X1, 1), R(u_m) too.  The
-    trace says whether the run stopped on du <= stop_tol.
+    weight that both the next convex step and the next Fc use and, for
+    (axis, k) = (X1, 1), R(u_m) too.  The trace says whether the run
+    stopped on du <= stop_tol.
     """
     if m_max < 1:
         raise SolverError("m_max must be at least 1")
@@ -214,9 +219,9 @@ def iterate(
     trace = IterTrace()
     u_prev, d1 = u0, diff(u0, Axis.X1, 1)
     for m in range(1, m_max + 1):
-        u = convex_step(u_prev, params)
-        du = norm_l2(u.with_values(u.values - u_prev.values))
         w = _weight(d1.values, params.q, params.eps)
+        u = _convex_solve(u_prev, w, params)
+        du = norm_l2(u.with_values(u.values - u_prev.values))
         d1 = diff(u, Axis.X1, 1)
         g = d1.values if reuse_d1 else diff(u, params.axis, params.k).values
         reg = _roughness(g, u, params.p, params.beta)

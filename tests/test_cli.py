@@ -188,6 +188,14 @@ class TestTopLevel:
         with pytest.raises(SystemExit):
             run()
 
+    def test_malformed_csv_header_is_one_line(self, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("# dispflow spacing 0.1\n1,2\n3,4\n")
+        assert run("fbp", f"--in={bad}", f"--out={tmp_path / 'o.csv'}") != 0
+        assert capsys.readouterr().err == (
+            "dispflow: error: malformed dispflow comment in CSV header: '# dispflow spacing 0.1'\n"
+        )
+
     def test_missing_input_file(self, tmp_path, capsys):
         rc = run("fbp", "--in=/nonexistent/x.csv", f"--out={tmp_path / 'o.csv'}")
         assert rc != 0

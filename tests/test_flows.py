@@ -429,3 +429,68 @@ class TestStepperReference:
             evolve(f, params, 1e-3)
         with pytest.raises(StabilityError, match="non-finite rhs at step 0"):
             _ref_evolve(f, params, 1e-3)
+
+    # an X1 flow steps each distinct column once and gathers the result back
+    @staticmethod
+    def _columns(case):
+        base = rough_field(31, (9, 4)).values
+        if case == "scrambled_repeats":
+            v = base[:, [2, 0, 3, 0, 1, 2, 2, 3, 1, 0, 3]]
+        elif case == "signed_zeros":
+            # a mirror-symmetric local maximum at 0.0 has x1 mobility 0 and
+            # rhs -0.0 there, so a -0.0 keeps its sign as long as the column
+            # stays exactly symmetric: through every step for k=1, whose
+            # interior stencils have two terms and whose boundary rows stay put
+            half = -np.linspace(1.0, 2.0, 4)
+            peak = np.concatenate([half[::-1], [0.0], half])
+            v = np.column_stack([base[:, 0], peak, peak, base[:, 1]])
+            v[4, 2] = -0.0
+        elif case == "all_equal":
+            v = base[:, [1] * 6]
+        elif case == "single":
+            v = base[:, :1]
+        else:
+            v = base
+        return ScalarField(v, 0.07, 0.09)
+
+    @pytest.mark.filterwarnings("ignore:evolve stopped at max_steps")
+    @pytest.mark.parametrize(
+        "case", ["scrambled_repeats", "signed_zeros", "all_equal", "single", "no_repeats"]
+    )
+    @pytest.mark.parametrize("k,p,q", ALL_VARIANTS)
+    def test_repeated_columns_bitwise_equal(self, k, p, q, case):
+        f = self._columns(case)
+        params = FlowParams(axis=Axis.X1, k=k, p=p, q=q, beta=0.05)
+        kwargs = dict(t_end=100 * _ref_stable_dt(f, params), max_steps=60)
+        new = _assert_same_run(f, params, **kwargs)
+        assert new.steps > 0
+        ref = _ref_evolve(f, params, **kwargs)
+        assert np.array_equal(np.signbit(new.u.values), np.signbit(ref.u.values))
+        if case == "signed_zeros" and k == 1:
+            assert list(np.signbit(new.u.values[4, 1:3])) == [False, True]
+        # no step: the input's bytes come back, column for column
+        same = evolve(f, params, 0.0).u.values
+        assert np.array_equal(same, f.values)
+        assert np.array_equal(np.signbit(same), np.signbit(f.values))
+
+    def test_x2_flow_does_not_merge_repeated_rows(self):
+        # rows 1, 4 and 7 start equal but have different neighbours, so the
+        # x1 mobility moves them apart
+        v = rough_field(32, (9, 6)).values
+        v[[4, 7]] = v[1]
+        f = ScalarField(v, 0.07, 0.09)
+        params = FlowParams(axis=Axis.X2, k=1, p=2, q=2)
+        new = _assert_same_run(f, params, t_end=100 * _ref_stable_dt(f, params), max_steps=60)
+        out = new.u.values
+        assert new.steps > 0
+        assert not np.array_equal(out[1], out[4]) and not np.array_equal(out[4], out[7])
+
+    @pytest.mark.filterwarnings("error")
+    def test_repeated_columns_overflow_at_the_same_step(self):
+        f = ScalarField(rough_field(5, (9, 3)).values[:, [1, 0, 1, 2, 0, 1]], 0.07, 0.09)
+        params = FlowParams(axis=Axis.X1, k=2, p=2, q=2)
+        dt = 30 * _ref_stable_dt(f, params)
+        with pytest.raises(StabilityError, match=r"^non-finite rhs at step 8$"):
+            evolve(f, params, 1e9 * dt, dt_override=dt, max_change=None)
+        with pytest.raises(StabilityError, match=r"^non-finite rhs at step 8: "):
+            _ref_evolve(f, params, 1e9 * dt, dt_override=dt, max_change=None)

@@ -82,6 +82,20 @@ class TestPGM:
             read_pgm(self._with_comment(tmp_path / "c.pgm", comment))
         assert "\n" not in str(info.value) and comment.decode() in str(info.value)
 
+    def test_rejects_unterminated_comment(self, tmp_path):
+        p = tmp_path / "u.pgm"
+        p.write_bytes(b"P5\n# no end of line")
+        with pytest.raises(FormatError, match="^unterminated comment in PGM header: ") as info:
+            read_pgm(p)
+        assert str(info.value).endswith("'# no end of line'")
+
+    def test_rejects_non_integer_width(self, tmp_path):
+        p = tmp_path / "w.pgm"
+        p.write_bytes(b"P5\nx 2\n65535\n" + bytes(8))
+        with pytest.raises(FormatError, match="^non-integer width, height or maxval in PGM") as info:
+            read_pgm(p)
+        assert str(info.value).endswith("'x 2 65535'")
+
     def test_other_comments_are_ignored(self, tmp_path):
         g = read_pgm(self._with_comment(tmp_path / "c.pgm", b"# written by another tool"))
         assert np.array_equal(g.values, np.zeros((2, 2)))
@@ -102,6 +116,18 @@ class TestCSV:
         p.write_text("1,2,3\n4,5,6\n")
         g = read_csv(p)
         assert np.array_equal(g.values, [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
+
+    @pytest.mark.parametrize(
+        "header",
+        ["# dispflow spacing 0.1", "# dispflow spacing 0.1 x"],
+        ids=["missing-spacing", "non-numeric-spacing"],
+    )
+    def test_rejects_malformed_dispflow_header(self, tmp_path, header):
+        p = tmp_path / "bad.csv"
+        p.write_text(header + "\n1,2\n3,4\n")
+        with pytest.raises(FormatError, match="^malformed dispflow comment in CSV header: ") as info:
+            read_csv(p)
+        assert str(info.value).endswith(repr(header))
 
     def test_single_row(self, tmp_path):
         p = tmp_path / "row.csv"
