@@ -7,9 +7,9 @@ Times, at n = 128, 90 angles, seed 7, jitter bound a = pi/18 and one BLAS
 thread: `radon_perturbed`, `fbp` of its sinogram, the fig5 flow (the
 [flow] settings of configs/fig5.cfg), `convex_step` with p = 2 and with
 p = 1 on that sinogram (k = 1, q = 2, alpha = 1e-3, eps = 1e-3 * ptp^2),
-`iterate_k1p2q2` (50 lagged iterations with the p = 2 settings,
-stop_tol = 0), `block_assign_columns` with M = 10 and
-`jitter_correct_rows` with M = 5;
+`iterate_k1p2q2` and `iterate_k1p2q1` (50 lagged iterations with the
+p = 2 settings, q = 2 and q = 1, stop_tol = 0), `block_assign_columns`
+with M = 10 and `jitter_correct_rows` with M = 5;
 then `radon_perturbed` and `fbp` once more at the larger size n = 256,
 180 angles (same seed and bound), printed with the suffix `_256x180`.
 The explicit flow stepper is timed on its own inputs: `fig2_flow` and
@@ -27,7 +27,10 @@ The cold start is measured first: N fresh interpreters, with this
 process's environment (so one BLAS thread), each time `import dispflow`
 from the package this script imports.  `import_ms` is the best of those
 times and `import_rss_mb` the lowest of the children's peak resident set
-(`ru_maxrss`).
+(`ru_maxrss`).  `first_convex_step_ms` is the best, over N further fresh
+interpreters, of the first `convex_step` (p = 2) of a process on the
+sinogram above: the cold cost of the lagged iteration, scipy's import
+included, which a stage timed in this process never sees.
 """
 
 from __future__ import annotations
@@ -88,14 +91,37 @@ print(time.perf_counter() - t0, resource.getrusage(resource.RUSAGE_SELF).ru_maxr
 """
 
 
+CONVEX_CHILD = """
+import math, sys, time
+sys.path.insert(0, sys.argv[1])
+import numpy as np
+from dispflow import (Axis, EnergyParams, convex_step, radon_perturbed,
+                      sample_uniform_displacement, shepp_logan)
+n, n_angles, seed, a = int(sys.argv[2]), int(sys.argv[3]), int(sys.argv[4]), float(sys.argv[5])
+angles = np.arange(n_angles) * math.pi / n_angles
+pert = sample_uniform_displacement(angles, a, seed)
+v = radon_perturbed(shepp_logan(n), angles, None, pert, 0.0, seed).field
+params = EnergyParams(axis=Axis.X1, k=1, p=2, q=2, alpha=1e-3, eps=1e-3 * float(np.ptp(v.values)) ** 2)
+assert not any(name.startswith("scipy") for name in sys.modules)
+t0 = time.perf_counter()
+convex_step(v, params)
+print(time.perf_counter() - t0)
+"""
+
+
 def cold_start(repeat: int) -> dict:
     src = os.path.dirname(os.path.dirname(os.path.abspath(dispflow.__file__)))
-    cmd = [sys.executable, "-c", IMPORT_CHILD, src]
-    runs = [subprocess.run(cmd, capture_output=True, text=True, check=True).stdout.split()
-            for _ in range(repeat)]
+
+    def children(*cmd):
+        return [subprocess.run([sys.executable, "-c", *cmd], capture_output=True, text=True,
+                               check=True).stdout.split() for _ in range(repeat)]
+
+    runs = children(IMPORT_CHILD, src)
+    steps = children(CONVEX_CHILD, src, str(N), str(N_ANGLES), str(SEED), repr(A))
     return {
         "import_ms": round(1e3 * min(float(t) for t, _ in runs), 3),
         "import_rss_mb": round(min(int(kb) for _, kb in runs) / 1024.0, 3),
+        "first_convex_step_ms": round(1e3 * min(float(t) for t, in steps), 3),
     }
 
 
@@ -121,14 +147,15 @@ def main(argv=None) -> int:
     fig5 = load_config(os.path.join(ROOT, "configs", "fig5.cfg"))
     eps = 1e-3 * float(np.ptp(v.values)) ** 2
 
-    def step(p):
-        return EnergyParams(axis=Axis.X1, k=1, p=p, q=2, alpha=1e-3, eps=eps)
+    def step(p, q=2):
+        return EnergyParams(axis=Axis.X1, k=1, p=p, q=q, alpha=1e-3, eps=eps)
 
     stages.update({
         "fig5_flow": lambda: evolve(v, fig5.flow, fig5.t_end),
         "convex_step_p2": lambda: convex_step(v, step(2)),
         "convex_step_p1": lambda: convex_step(v, step(1)),
         "iterate_k1p2q2": lambda: iterate(v, step(2), m_max=50, stop_tol=0.0),
+        "iterate_k1p2q1": lambda: iterate(v, step(2, q=1), m_max=50, stop_tol=0.0),
         "block_assign_columns_M10": lambda: block_assign_columns(v, 10),
         "jitter_correct_rows_M5": lambda: jitter_correct_rows(v, 5),
     })

@@ -46,6 +46,11 @@ class FlowParams:
     def __post_init__(self):
         if self.k not in (1, 2) or self.p not in (1, 2) or self.q not in (1, 2):
             raise FlowError("k, p, q must each be 1 or 2")
+        for name in ("beta", "eps"):
+            if not math.isfinite(getattr(self, name)):
+                raise FlowError(f"{name} must be finite, got {getattr(self, name)}")
+        if not self.dt_max > 0:
+            raise FlowError(f"dt_max must be positive, got {self.dt_max}")
         if self.p == 1 and self.beta <= 0:
             raise FlowError("beta must be positive when p=1")
         if self.eps < 0:

@@ -17,6 +17,7 @@ Both Fc(u_m, u_{m-1}) and R(u_m) decrease monotonically along the iteration.
 from __future__ import annotations
 
 import io
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -47,6 +48,9 @@ class EnergyParams:
     def __post_init__(self):
         if self.k not in (1, 2) or self.p not in (1, 2) or self.q not in (1, 2):
             raise SolverError("k, p, q must each be 1 or 2")
+        for name in ("alpha", "eps", "beta"):
+            if not math.isfinite(getattr(self, name)):
+                raise SolverError(f"{name} must be finite, got {getattr(self, name)}")
         if self.alpha <= 0 or self.eps <= 0:
             raise SolverError("alpha and eps must be positive")
         if self.p == 1 and self.beta <= 0:
@@ -152,50 +156,88 @@ def convex_step(u_prev: ScalarField, params: EnergyParams) -> ScalarField:
     = u_prev / w, with D = diff_matrix and mob = 1 for p=2 (the lagged
     diffusivity of the inner fixed point for p=1).  The lines, laid end to
     end, form one SPD matrix of half-bandwidth k+1 with no entry coupling
-    two lines, factored by a single banded Cholesky solve.
+    two lines, factored in place by one LAPACK banded Cholesky solve
+    (`_BandSolver`, built once per call; scipy is imported on the first).
     """
-    return _convex_solve(u_prev, _weight(_d1(u_prev), params.q, params.eps), params)
+    solver = _BandSolver(u_prev.shape, u_prev.spacing(params.axis), params)
+    return solver.step(u_prev, _weight(_d1(u_prev), params.q, params.eps))
 
 
-def _convex_solve(u_prev: ScalarField, w: np.ndarray, params: EnergyParams) -> ScalarField:
-    """convex_step given w, the data-term weight of u_prev."""
-    # imported here so that the package and every other pipeline load without scipy
-    from scipy.linalg import solveh_banded
+class _BandSolver:
+    """The convex step's banded system on one grid shape, prepared once.
 
-    along_x1 = params.axis == Axis.X1
-    v = u_prev.values.T if along_x1 else u_prev.values  # one line per row
-    w = w.T if along_x1 else w
-    lines, n = v.shape
-    D = diff_matrix(n, u_prev.spacing(params.axis), params.k)
-    band = params.k + 1
-    rhs = (v / w).ravel()
+    The band is held in lower form (row s holds A[j+s, j] in column j) in
+    one Fortran-ordered work array that LAPACK pbsv factors in place, so
+    every solve refills all of it: for p=2 from a template of the constant
+    rows alpha * D^T D built once, for p=1 from the current mobility.  Each
+    solve checks once that the band and right-hand side are finite, which
+    is what scipy's solveh_banded would check on its own copies.
+    """
 
-    def solve(mob):
-        # lower form: row s holds (D^T diag(m) D)[j+s, j] in column j, which
-        # is m @ (D[:, :n-s] * D[:, s:])[:, j] for each line
-        ab = np.zeros((band + 1, lines, n))
-        for s in range(band + 1):
-            ab[s, :, : n - s] = params.alpha * (mob @ (D[:, : n - s] * D[:, s:]))
-        ab[0] += 1.0 / w
-        return solveh_banded(ab.reshape(band + 1, -1), rhs, lower=True).reshape(lines, n)
+    def __init__(self, shape, spacing: float, params: EnergyParams):
+        # imported here so that the package and every other pipeline load without scipy
+        from scipy.linalg.lapack import dpbsv
 
-    if params.p == 2:
-        out = solve(np.ones(n))
-    else:
-        out = v
-        b2 = params.beta**2
-        for _ in range(INNER_MAX):
-            g = out @ D.T
-            new = solve(1.0 / np.sqrt(g * g + b2))
-            rel = np.linalg.norm(new - out) / max(np.linalg.norm(out), 1e-300)
-            out = new
-            if rel <= INNER_TOL:
-                break
+        self._pbsv = dpbsv
+        self.params = params
+        self.along_x1 = params.axis == Axis.X1
+        n, lines = shape if self.along_x1 else shape[::-1]  # one line per row
+        self.D = diff_matrix(n, spacing, params.k)
+        rows = params.k + 2
+        # _band[i, j, s] is row s, column j of line i; _ab is the same memory
+        # as the (rows, lines * n) Fortran-ordered band that pbsv reads
+        self._band = np.empty((lines, n, rows))
+        self._ab = self._band.reshape(lines * n, rows).T
+        self._template = None
+        if params.p == 2:
+            self._template = np.empty((n, rows))
+            self._fill(self._template, np.ones(n))
+
+    def _fill(self, dst: np.ndarray, mob: np.ndarray):
+        # row s of alpha * D^T diag(m) D, m @ (D[:, :n-s] * D[:, s:]) for each
+        # line, and zero past the line's end
+        D, n = self.D, self.D.shape[0]
+        for s in range(dst.shape[-1]):
+            dst[..., : n - s, s] = self.params.alpha * (mob @ (D[:, : n - s] * D[:, s:]))
+            dst[..., n - s :, s] = 0.0
+
+    def solve(self, inv_w: np.ndarray, rhs: np.ndarray, mob: np.ndarray | None = None) -> np.ndarray:
+        """Solve diag(inv_w) u + alpha * D^T diag(mob) D u = rhs on every
+        line, all (lines, n); mob None is the p=2 template (mob = 1)."""
+        if mob is None:
+            self._band[...] = self._template
         else:
-            raise SolverError(
-                f"p=1 inner fixed point did not converge (last change {rel:.3g})"
-            )
-    return u_prev.with_values(out.T if along_x1 else out)
+            self._fill(self._band, mob)
+        self._band[:, :, 0] += inv_w
+        x = rhs.flatten()
+        if not (np.isfinite(self._ab).all() and np.isfinite(x).all()):
+            raise SolverError("non-finite band or right-hand side in the convex step")
+        _, x, info = self._pbsv(self._ab, x, lower=1, overwrite_ab=1, overwrite_b=1)
+        if info != 0:
+            raise SolverError(f"banded Cholesky solve failed (LAPACK pbsv info {info})")
+        return x.reshape(rhs.shape)
+
+    def step(self, u_prev: ScalarField, w: np.ndarray) -> ScalarField:
+        """convex_step given w, the data-term weight of u_prev."""
+        v, w = (u_prev.values.T, w.T) if self.along_x1 else (u_prev.values, w)
+        inv_w, rhs = 1.0 / w, v / w
+        if self.params.p == 2:
+            out = self.solve(inv_w, rhs)
+        else:
+            out = v
+            b2 = self.params.beta**2
+            for _ in range(INNER_MAX):
+                g = out @ self.D.T
+                new = self.solve(inv_w, rhs, 1.0 / np.sqrt(g * g + b2))
+                rel = np.linalg.norm(new - out) / max(np.linalg.norm(out), 1e-300)
+                out = new
+                if rel <= INNER_TOL:
+                    break
+            else:
+                raise SolverError(
+                    f"p=1 inner fixed point did not converge (last change {rel:.3g})"
+                )
+        return u_prev.with_values(out.T if self.along_x1 else out)
 
 
 def iterate(
@@ -206,21 +248,24 @@ def iterate(
 ) -> tuple[ScalarField, IterTrace]:
     """Lagged convex iteration u_m = argmin Fc(u; u_{m-1}) starting at u0.
 
-    d1 u_m is computed once per iterate: it gives grad_linf, the data-term
-    weight that both the next convex step and the next Fc use and, for
-    (axis, k) = (X1, 1), R(u_m) too.  The trace says whether the run
-    stopped on du <= stop_tol.
+    One `_BandSolver` is built per call and solves every convex step: the
+    diff_matrix, the work band and, for p=2, the template of its constant
+    rows are made once, not once per iteration.  d1 u_m is computed once
+    per iterate: it gives grad_linf, the data-term weight that both the
+    next convex step and the next Fc use and, for (axis, k) = (X1, 1),
+    R(u_m) too.  The trace says whether the run stopped on du <= stop_tol.
     """
     if m_max < 1:
         raise SolverError("m_max must be at least 1")
     if stop_tol is None:
         stop_tol = 1e-6 * norm_l2(u0)
     reuse_d1 = (params.axis, params.k) == (Axis.X1, 1)
+    solver = _BandSolver(u0.shape, u0.spacing(params.axis), params)
     trace = IterTrace()
     u_prev, d1 = u0, diff(u0, Axis.X1, 1)
     for m in range(1, m_max + 1):
         w = _weight(d1.values, params.q, params.eps)
-        u = _convex_solve(u_prev, w, params)
+        u = solver.step(u_prev, w)
         du = norm_l2(u.with_values(u.values - u_prev.values))
         d1 = diff(u, Axis.X1, 1)
         g = d1.values if reuse_d1 else diff(u, params.axis, params.k).values

@@ -135,6 +135,14 @@ class TestVarsolveVerb:
         assert lines[0] == "m,Fc,R,du_l2,grad_linf"
         assert len(lines) >= 2
 
+    def test_non_finite_setting_is_one_line(self, tmp_path, capsys):
+        src = tmp_path / "in.csv"
+        src.write_text("1,2\n3,4\n5,6\n")
+        rc = run("varsolve", f"--in={src}", "--eps=inf", f"--out={tmp_path / 'o.csv'}")
+        assert rc == 1
+        assert capsys.readouterr().err == "dispflow: error: eps must be finite, got inf\n"
+        assert not (tmp_path / "o.csv").exists()
+
     def test_cfl_not_accepted(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
             run("varsolve", f"--in={tmp_path / 'in.csv'}", "--cfl=0.3",

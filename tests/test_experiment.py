@@ -14,6 +14,7 @@ from dispflow.experiment import (
     run_experiment,
 )
 from dispflow.fileio import read_csv
+from dispflow.varsolve import SolverError
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
@@ -67,6 +68,13 @@ class TestLoadConfig:
             load_config(p)
         with pytest.raises(ConfigError, match="must be non-negative"):
             ExperimentConfig(a=float(a), noise=float(noise))
+
+    def test_non_finite_solver_setting(self, tmp_path):
+        # was accepted, then failed inside scipy with "array must not contain infs or NaNs"
+        p = tmp_path / "nan.cfg"
+        p.write_text("[experiment]\nname = x\ncorrection = varsolve\n[varsolve]\nalpha = nan\n")
+        with pytest.raises(SolverError, match="^alpha must be finite, got nan$"):
+            load_config(p)
 
     @pytest.mark.parametrize("name", SHIPPED)
     def test_echo_loads_back_to_the_same_experiment(self, tmp_path, name):

@@ -1,3 +1,5 @@
+import math
+import re
 import warnings
 
 import numpy as np
@@ -43,6 +45,16 @@ class TestFlowParams:
             FlowParams(axis=Axis.X1, k=1, p=1, q=2, beta=0.0)
         with pytest.raises(FlowError):
             FlowParams(axis=Axis.X1, k=1, p=2, q=2, cfl=0.0)
+        # non-finite settings fail here, not as a StabilityError or silently
+        for bad, msg in ((dict(eps=math.nan), "eps must be finite, got nan"),
+                         (dict(eps=math.inf), "eps must be finite, got inf"),
+                         (dict(p=1, beta=math.nan), "beta must be finite, got nan"),
+                         (dict(p=1, beta=math.inf), "beta must be finite, got inf"),
+                         (dict(dt_max=math.nan), "dt_max must be positive, got nan"),
+                         (dict(dt_max=0.0), "dt_max must be positive, got 0.0")):
+            with pytest.raises(FlowError, match=f"^{re.escape(msg)}$"):
+                FlowParams(axis=Axis.X1, **bad)
+        assert FlowParams(axis=Axis.X1).dt_max == math.inf
 
 
 class TestFlowRhs:

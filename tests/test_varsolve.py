@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import solveh_banded
 
+from dispflow import varsolve
 from dispflow.grid import Axis, ScalarField, diff, diff_matrix, norm_l2
 from dispflow.tomo import radon_perturbed, sample_uniform_displacement, shepp_logan
 from dispflow.varsolve import (
@@ -38,6 +39,12 @@ class TestEnergyParams:
             EnergyParams(axis=Axis.X1, eps=-1.0)
         with pytest.raises(SolverError):
             EnergyParams(axis=Axis.X1, p=1, beta=0.0)
+        # non-finite settings fail here, not inside the solver or silently
+        for bad in (dict(alpha=math.nan), dict(alpha=math.inf), dict(eps=math.nan),
+                    dict(eps=math.inf), dict(p=1, beta=math.nan), dict(p=1, beta=math.inf)):
+            name = next(k for k in bad if k != "p")
+            with pytest.raises(SolverError, match=f"^{name} must be finite, got (nan|inf)$"):
+                EnergyParams(axis=Axis.X1, **bad)
 
 
 class TestEnergies:
@@ -291,3 +298,168 @@ class TestIterateReference:
         assert trace.converged == (ref.du_l2[-1] <= stop_tol)
         for col in ("fc", "reg", "du_l2", "grad_linf"):
             assert np.allclose(getattr(trace, col), getattr(ref, col), rtol=1e-12, atol=0.0), col
+
+
+def _fresh_band_solve(u_prev, w, params):
+    """The convex step given w, with a fresh lower-form band and scipy's
+    solveh_banded on every solve: the prepared solver must match its bytes."""
+    along_x1 = params.axis == Axis.X1
+    v = u_prev.values.T if along_x1 else u_prev.values
+    w = w.T if along_x1 else w
+    lines, n = v.shape
+    D = diff_matrix(n, u_prev.spacing(params.axis), params.k)
+    band = params.k + 1
+    rhs = (v / w).ravel()
+
+    def solve(mob):
+        ab = np.zeros((band + 1, lines, n))
+        for s in range(band + 1):
+            ab[s, :, : n - s] = params.alpha * (mob @ (D[:, : n - s] * D[:, s:]))
+        ab[0] += 1.0 / w
+        return solveh_banded(ab.reshape(band + 1, -1), rhs, lower=True).reshape(lines, n)
+
+    if params.p == 2:
+        out = solve(np.ones(n))
+    else:
+        out = v
+        for _ in range(200):
+            g = out @ D.T
+            new = solve(1.0 / np.sqrt(g * g + params.beta**2))
+            rel = np.linalg.norm(new - out) / max(np.linalg.norm(out), 1e-300)
+            out = new
+            if rel <= 1e-6:
+                break
+    return u_prev.with_values(out.T if along_x1 else out)
+
+
+class _FreshBandSolver:
+    """Stands in for varsolve._BandSolver and keeps no state between solves."""
+
+    def __init__(self, shape, spacing, params):
+        self.params = params
+
+    def step(self, u_prev, w):
+        return _fresh_band_solve(u_prev, w, self.params)
+
+
+def _weight(u, params):
+    g1 = diff(u, Axis.X1, 1).values
+    return g1 * g1 + params.eps if params.q == 2 else np.abs(g1) + params.eps
+
+
+def _assert_same_bytes(a, b):
+    assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _small_case(axis, k, p, q, seed=0):
+    # TestIterateReference's non-square 17 x 14 field with dx1 != dx2
+    rng = np.random.default_rng(10 * k + 4 * p + 2 * q + int(axis) + 100 * seed)
+    base = np.sin(np.linspace(0.0, 3.0, 17))[:, None] * np.ones(14)
+    u0 = ScalarField(base + 0.3 * rng.standard_normal((17, 14)), 0.1, 0.07)
+    return u0, EnergyParams(axis=axis, k=k, p=p, q=q, alpha=1e-4, eps=1e-2, beta=1.0)
+
+
+def _fig5_sinogram():
+    # 128-pixel phantom, 90 angles, jitter a = pi/18: 90 x 183
+    angles = np.arange(90) * math.pi / 90
+    pert = sample_uniform_displacement(angles, math.pi / 18, 7)
+    v = radon_perturbed(shepp_logan(128), angles, None, pert, 0.0, 7).field
+    assert v.shape == (90, 183)
+    return v
+
+
+class TestPreparedSolverBitwise:
+    """The prepared solver gives the bytes of a fresh band on every solve."""
+
+    def _check_iterate(self, u0, params, m_max, monkeypatch):
+        before = u0.values.tobytes()
+        u, trace = iterate(u0, params, m_max=m_max, stop_tol=0.0)
+        assert u0.values.tobytes() == before
+        with monkeypatch.context() as mp:
+            mp.setattr(varsolve, "_BandSolver", _FreshBandSolver)
+            ref_u, ref = iterate(u0, params, m_max=m_max, stop_tol=0.0)
+        _assert_same_bytes(u.values, ref_u.values)
+        assert trace.m == ref.m and trace.warnings == ref.warnings
+        assert trace.converged == ref.converged
+        for col in ("fc", "reg", "du_l2", "grad_linf"):
+            assert np.array_equal(getattr(trace, col), getattr(ref, col)), col
+
+    def _check_step(self, u_prev, params):
+        before = u_prev.values.tobytes()
+        w = _weight(u_prev, params)
+        w_before = w.tobytes()
+        solver = varsolve._BandSolver(u_prev.shape, u_prev.spacing(params.axis), params)
+        out = solver.step(u_prev, w)
+        assert u_prev.values.tobytes() == before and w.tobytes() == w_before
+        _assert_same_bytes(out.values, _fresh_band_solve(u_prev, w, params).values)
+        _assert_same_bytes(convex_step(u_prev, params).values, out.values)
+        assert u_prev.values.tobytes() == before
+
+    @pytest.mark.parametrize("axis", list(Axis), ids=lambda a: a.name)
+    @pytest.mark.parametrize("k", [1, 2])
+    @pytest.mark.parametrize("p", [1, 2])
+    @pytest.mark.parametrize("q", [1, 2])
+    def test_iterate_matches_fresh_band(self, axis, k, p, q, monkeypatch):
+        u0, params = _small_case(axis, k, p, q)
+        self._check_iterate(u0, params, 6, monkeypatch)
+
+    @pytest.mark.parametrize("axis", list(Axis), ids=lambda a: a.name)
+    @pytest.mark.parametrize("k", [1, 2])
+    @pytest.mark.parametrize("p", [1, 2])
+    @pytest.mark.parametrize("q", [1, 2])
+    def test_convex_step_matches_fresh_band(self, axis, k, p, q):
+        self._check_step(*_small_case(axis, k, p, q))
+
+    @pytest.mark.parametrize("q", [1, 2])
+    def test_fig5_sinogram_p2(self, q, monkeypatch):
+        v = _fig5_sinogram()
+        eps = 1e-3 * float(np.ptp(v.values)) ** 2
+        params = EnergyParams(axis=Axis.X1, k=1, p=2, q=q, alpha=1e-3, eps=eps)
+        self._check_step(v, params)
+        self._check_iterate(v, params, 20, monkeypatch)
+
+    @pytest.mark.parametrize("axis", list(Axis), ids=lambda a: a.name)
+    @pytest.mark.parametrize("p", [1, 2])
+    def test_reused_solver_keeps_no_state(self, axis, p):
+        # one solver over three fields and back: each step gives the bytes
+        # of a fresh solver, so nothing leaks through the factored band
+        fields = [_small_case(axis, 2, p, 2, seed)[0] for seed in range(3)]
+        params = _small_case(axis, 2, p, 2)[1]
+        solver = varsolve._BandSolver(fields[0].shape, fields[0].spacing(axis), params)
+        for f in fields + fields[::-1]:
+            fresh = varsolve._BandSolver(f.shape, f.spacing(axis), params)
+            w = _weight(f, params)
+            _assert_same_bytes(solver.step(f, w).values, fresh.step(f, w).values)
+
+    @pytest.mark.parametrize("p", [1, 2])
+    def test_back_to_back_calls_match_the_first(self, p):
+        u0, params = _small_case(Axis.X1, 2, p, 2)
+        u1 = _small_case(Axis.X1, 2, p, 2, seed=1)[0]
+        for call in (lambda u: iterate(u, params, m_max=4)[0], lambda u: convex_step(u, params)):
+            a, b, again = (call(u).values for u in (u0, u1, u0))
+            _assert_same_bytes(a, again)
+            assert not np.array_equal(a, b)
+
+
+class TestPreparedSolverErrors:
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_band_is_one_line(self):
+        # spacing 1e-200: the entries of D^T D overflow to inf
+        u = ScalarField(np.outer(np.arange(9.0), np.ones(5)), 1e-200, 1e-200)
+        with pytest.raises(SolverError, match="^non-finite band or right-hand side in the convex step$"):
+            convex_step(u, EnergyParams(axis=Axis.X2, k=1, p=2, q=2, alpha=1.0))
+
+    def test_non_finite_rhs_is_one_line(self):
+        u, params = _small_case(Axis.X1, 1, 2, 2)
+        solver = varsolve._BandSolver(u.shape, u.dx1, params)
+        rhs = np.ones((14, 17))
+        rhs[3, 4] = np.nan
+        with pytest.raises(SolverError, match="^non-finite band or right-hand side"):
+            solver.solve(np.ones((14, 17)), rhs)
+
+    def test_lapack_failure_is_one_line(self):
+        # a negative diagonal makes the band indefinite: pbsv reports info > 0
+        u, params = _small_case(Axis.X1, 1, 2, 2)
+        solver = varsolve._BandSolver(u.shape, u.dx1, params)
+        with pytest.raises(SolverError, match=r"^banded Cholesky solve failed \(LAPACK pbsv info 1\)$"):
+            solver.solve(-np.ones((14, 17)), np.ones((14, 17)))
