@@ -8,7 +8,10 @@ thread: `radon_perturbed`, `fbp` of its sinogram, the fig5 flow (the
 [flow] settings of configs/fig5.cfg), `convex_step` with p = 2 and with
 p = 1 on that sinogram (k = 1, q = 2, alpha = 1e-3, eps = 1e-3 * ptp^2),
 `iterate_k1p2q2` and `iterate_k1p2q1` (50 lagged iterations with the
-p = 2 settings, q = 2 and q = 1, stop_tol = 0), `block_assign_columns`
+p = 2 settings, q = 2 and q = 1, stop_tol = 0), `iterate_k1p2q2_noisy`
+(the same q = 2 run on that sinogram plus Gaussian noise of standard
+deviation 1% of its maximum, seed 7: no column repeats, so it times the
+convex step that solves every column), `block_assign_columns`
 with M = 10 and `jitter_correct_rows` with M = 5;
 then `radon_perturbed` and `fbp` once more at the larger size n = 256,
 180 angles (same seed and bound), printed with the suffix `_256x180`.
@@ -19,7 +22,10 @@ acceptance criterion 3's (k, p, q) = (2, 2, 2) strip (64 x 4, amplitude
 1e4, dx 0.1) in microseconds: the best time of a run to t_end = 5e-11
 (about 4,400 steps) over its step count.  Each stage runs N times
 (default 5) in this process; the best time, in milliseconds unless the
-name says otherwise, is printed with the settings as one JSON line.  Only
+name says otherwise, is printed with the settings as one JSON line,
+together with `distinct_columns` and `noisy_distinct_columns`, the number
+of distinct columns of the two sinograms, which is the number of lines a
+p = 2 convex step along X1 solves.  Only
 the public API and the configs' image builders are called, and nothing is
 written.
 
@@ -66,6 +72,7 @@ from dispflow import (  # noqa: E402
     shepp_logan,
 )
 from dispflow.experiment import _interface_image, _strip_image, load_config  # noqa: E402
+from dispflow.grid import distinct_columns  # noqa: E402
 
 N, N_ANGLES, SEED, A = 128, 90, 7, math.pi / 18
 LARGE_N, LARGE_ANGLES = 256, 180
@@ -144,6 +151,9 @@ def main(argv=None) -> int:
 
     sino, stages = tomo_stages(N, N_ANGLES)
     v = sino.field
+    angles = np.arange(N_ANGLES) * math.pi / N_ANGLES
+    pert, sigma = sample_uniform_displacement(angles, A, SEED), 0.01 * float(np.abs(v.values).max())
+    noisy = radon_perturbed(shepp_logan(N), angles, None, pert, sigma, SEED).field
     fig5 = load_config(os.path.join(ROOT, "configs", "fig5.cfg"))
     eps = 1e-3 * float(np.ptp(v.values)) ** 2
 
@@ -156,6 +166,7 @@ def main(argv=None) -> int:
         "convex_step_p1": lambda: convex_step(v, step(1)),
         "iterate_k1p2q2": lambda: iterate(v, step(2), m_max=50, stop_tol=0.0),
         "iterate_k1p2q1": lambda: iterate(v, step(2, q=1), m_max=50, stop_tol=0.0),
+        "iterate_k1p2q2_noisy": lambda: iterate(noisy, step(2), m_max=50, stop_tol=0.0),
         "block_assign_columns_M10": lambda: block_assign_columns(v, 10),
         "jitter_correct_rows_M5": lambda: jitter_correct_rows(v, 5),
     })
@@ -171,7 +182,9 @@ def main(argv=None) -> int:
     strip_params = FlowParams(axis=Axis.X1, k=2, p=2, q=2)
     strip_steps = evolve(strip, strip_params, STRIP_T_END).steps
 
-    out = {"n": N, "angles": N_ANGLES, "seed": SEED, "repeat": args.repeat, "unit": "ms"}
+    out = {"n": N, "angles": N_ANGLES, "seed": SEED, "repeat": args.repeat, "unit": "ms",
+           "distinct_columns": len(distinct_columns(v.values)[0]),
+           "noisy_distinct_columns": len(distinct_columns(noisy.values)[0])}
     out.update(cold_start(args.repeat))
     out.update({name: round(best_ms(fn, args.repeat), 3) for name, fn in stages.items()})
     strip_ms = best_ms(lambda: evolve(strip, strip_params, STRIP_T_END), args.repeat)

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import Axis, GridError, ScalarField, diff_axis0_kernel, row_pair
+from .grid import Axis, GridError, ScalarField, diff_axis0_kernel, distinct_columns, row_pair
 
 #: hard floor used in the CFL bound so a flat field never divides by zero
 DT_FLOOR = 1e-12
@@ -289,8 +289,9 @@ def evolve(
     coefficient, the initial range) take the same value over the distinct
     columns as over all of them, so the result, t, the step count and the
     residuals are bitwise those of stepping every column.  Columns are
-    grouped by their bytes, so -0.0 and 0.0 stay apart.  An X2 flow couples
-    its rows through the x1 mobility and steps the whole field.
+    grouped by their bytes (grid.distinct_columns, which the X1 convex step
+    shares), so -0.0 and 0.0 stay apart.  An X2 flow couples its rows
+    through the x1 mobility and steps the whole field.
 
     The loop runs in one workspace allocated per call: two field buffers
     that swap each step, in the flow layout (an X2 flow runs on the
@@ -303,16 +304,20 @@ def evolve(
     max_change additionally caps each step so no sample moves by more than
     that fraction of the initial dynamic range; the frozen-coefficient CFL
     bound alone can admit huge steps for the saturated p=1 quotient.
+    dt_override and max_change, when not None, must be finite and positive:
+    anything else is a FlowError before the first step.
     """
     if not np.isfinite(t_end) and stop_residual is None:
         raise FlowError("t_end must be finite unless stop_residual is set")
     if t_end < 0:
         raise FlowError("t_end must be non-negative")
+    if dt_override is not None and not 0 < dt_override < math.inf:
+        raise FlowError(f"dt_override must be finite and positive, got {dt_override}")
+    if max_change is not None and not 0 < max_change < math.inf:
+        raise FlowError(f"max_change must be finite and positive, got {max_change}")
     _check_shape(u0.shape, params)
     if params.axis == Axis.X1:
-        cols = np.ascontiguousarray(u0.values.T)  # the bytes of each column as one key
-        keys = cols.view(np.dtype((np.void, cols[0].nbytes))).ravel()
-        first, lines = np.unique(keys, return_index=True, return_inverse=True)[1:]
+        first, lines = distinct_columns(u0.values)
         u = np.take(u0.values, first, axis=1)
     else:
         u = np.array(u0.values.T, order="C")

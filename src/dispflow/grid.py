@@ -89,6 +89,18 @@ def row_pair(v: np.ndarray, i: int, j: int) -> np.ndarray:
     return v[i :: j - i][:2]
 
 
+def distinct_columns(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(first, inverse) for the distinct columns of a 2D array: v[:, first]
+    holds each distinct column once, and v[:, first][:, inverse] is v.
+
+    Columns are grouped by their bytes, a void view of the contiguous
+    transpose, so -0.0 and 0.0 stay apart and a column only joins a group
+    whose every sample it equals bit for bit."""
+    cols = np.ascontiguousarray(v.T)  # the bytes of each column as one key
+    keys = cols.view(np.dtype((np.void, cols[0].nbytes))).ravel()
+    return np.unique(keys, return_index=True, return_inverse=True)[1:]
+
+
 # coefficients of the one-sided order-1 boundary stencils, one row per end:
 # out[0] = (-1.5 v0 + 2 v1 - 0.5 v2) / dx, out[-1] = (0.5 v-3 - 2 v-2 + 1.5 v-1) / dx
 _D1_ENDS = tuple(np.array([[lo], [hi]]) for lo, hi in ((-1.5, 0.5), (2.0, -2.0), (-0.5, 1.5)))

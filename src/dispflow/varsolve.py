@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import Axis, ScalarField, diff, diff_matrix, norm_l2, norm_linf
+from .grid import Axis, ScalarField, diff, diff_matrix, distinct_columns, norm_l2, norm_linf
 
 #: relative slack allowed on the monotonicity checks (solver tolerance)
 MONOTONE_SLACK = 1e-9
@@ -123,28 +123,28 @@ def _weight(g1: np.ndarray, q: int, eps: float) -> np.ndarray:
     return g1 * g1 + eps if q == 2 else np.abs(g1) + eps
 
 
-def _data_term(u: ScalarField, u_ref: ScalarField, w: np.ndarray) -> float:
-    r = u.values - u_ref.values
+def _data_term(r: np.ndarray, w: np.ndarray, u: ScalarField) -> float:
+    # (1/2) * integral r^2 / w on u's grid, r = u - u_ref
     return float(0.5 * u.dx1 * u.dx2 * np.sum(r * r / w))
 
 
 def energy_D2(u: ScalarField, u_ref: ScalarField, eps: float) -> float:
     """(1/2) * integral (u - u_ref)^2 / ((d1 u)^2 + eps)."""
     _check_same_shape(u, u_ref)
-    return _data_term(u, u_ref, _weight(_d1(u), 2, eps))
+    return _data_term(u.values - u_ref.values, _weight(_d1(u), 2, eps), u)
 
 
 def energy_D1(u: ScalarField, u_ref: ScalarField, eps: float) -> float:
     """(1/2) * integral (u - u_ref)^2 / (|d1 u| + eps)."""
     _check_same_shape(u, u_ref)
-    return _data_term(u, u_ref, _weight(_d1(u), 1, eps))
+    return _data_term(u.values - u_ref.values, _weight(_d1(u), 1, eps), u)
 
 
 def fc_energy(u: ScalarField, u_prev: ScalarField, params: EnergyParams) -> float:
     """Convex surrogate Fc(u; u_prev) with the denominator frozen at u_prev."""
     _check_same_shape(u, u_prev)
     w = _weight(_d1(u_prev), params.q, params.eps)
-    return _data_term(u, u_prev, w) + params.alpha * energy_R(
+    return _data_term(u.values - u_prev.values, w, u) + params.alpha * energy_R(
         u, params.axis, params.k, params.p, params.beta
     )
 
@@ -158,9 +158,47 @@ def convex_step(u_prev: ScalarField, params: EnergyParams) -> ScalarField:
     end, form one SPD matrix of half-bandwidth k+1 with no entry coupling
     two lines, factored in place by one LAPACK banded Cholesky solve
     (`_BandSolver`, built once per call; scipy is imported on the first).
+    A p=2 step along X1 solves each distinct column once (see `_prepare`).
     """
-    solver = _BandSolver(u_prev.shape, u_prev.spacing(params.axis), params)
-    return solver.step(u_prev, _weight(_d1(u_prev), params.q, params.eps))
+    solver, group = _prepare(u_prev, params)
+    w = _weight(_d1(u_prev), params.q, params.eps)
+    part = u_prev.with_values(_columns(u_prev.values, group))
+    return _gather(solver.step(part, _columns(w, group)), group)
+
+
+def _prepare(u0: ScalarField, params: EnergyParams) -> tuple:
+    """The solver for convex steps from u0 and its iterates, and the column
+    grouping it solves on (see `_columns` and `_gather`).
+
+    A p=2 step along X1 solves each column as its own line: its weight
+    w = (d1 u)^q + eps, its right-hand side and its band act inside that
+    column, so columns equal in u0 stay equal at every iterate.  If u0
+    repeats a column, the grouping is (first, inverse) of
+    grid.distinct_columns and the solver is built on the distinct columns
+    alone.  Otherwise it is None and the solver solves every line: along
+    X2, where the x1 weight couples the lines, and for p=1, whose mobility
+    is a BLAS product whose rows can differ in the last bits with their
+    place in it, so that equal columns need not stay equal.
+    """
+    group = None
+    if (params.axis, params.p) == (Axis.X1, 2):
+        first, inverse = distinct_columns(u0.values)
+        if len(first) < u0.n2:  # all distinct: no gather or scatter per step
+            group = first, inverse
+    shape = u0.shape if group is None else (u0.n1, len(group[0]))
+    return _BandSolver(shape, u0.spacing(params.axis), params), group
+
+
+def _columns(a: np.ndarray, group) -> np.ndarray:
+    """The columns of a that the solver solves: those in first, for
+    group = (first, inverse), or all of them."""
+    return a if group is None else a[:, group[0]]
+
+
+def _gather(part: ScalarField, group) -> ScalarField:
+    """The solution on the solved columns, gathered back to every column
+    through inverse in the Fortran order that a solve of every line leaves."""
+    return part if group is None else part.with_values(np.take(part.values.T, group[1], axis=0).T)
 
 
 class _BandSolver:
@@ -250,27 +288,36 @@ def iterate(
 
     One `_BandSolver` is built per call and solves every convex step: the
     diff_matrix, the work band and, for p=2, the template of its constant
-    rows are made once, not once per iteration.  d1 u_m is computed once
-    per iterate: it gives grad_linf, the data-term weight that both the
-    next convex step and the next Fc use and, for (axis, k) = (X1, 1),
-    R(u_m) too.  The trace says whether the run stopped on du <= stop_tol.
+    rows are made once, not once per iteration.  A p=2 iteration along X1
+    groups u0's columns once and solves each distinct column once per step
+    (see `_prepare`); the iterate is gathered back, Fortran-ordered as the
+    solve of every line leaves it, so the trace's sums read the same bits.
+    d1 u_m is computed once per iterate: it gives grad_linf, the data-term
+    weight that both the next convex step and the next Fc use and, for
+    (axis, k) = (X1, 1), R(u_m) too.  The trace says whether the run
+    stopped on du <= stop_tol; a NaN or negative stop_tol is a SolverError.
     """
     if m_max < 1:
         raise SolverError("m_max must be at least 1")
     if stop_tol is None:
         stop_tol = 1e-6 * norm_l2(u0)
+    elif not stop_tol >= 0:
+        raise SolverError(f"stop_tol must be non-negative, got {stop_tol}")
     reuse_d1 = (params.axis, params.k) == (Axis.X1, 1)
-    solver = _BandSolver(u0.shape, u0.spacing(params.axis), params)
+    solver, group = _prepare(u0, params)
     trace = IterTrace()
     u_prev, d1 = u0, diff(u0, Axis.X1, 1)
+    part = u0.with_values(_columns(u0.values, group))  # the solved columns of u_prev
     for m in range(1, m_max + 1):
         w = _weight(d1.values, params.q, params.eps)
-        u = solver.step(u_prev, w)
-        du = norm_l2(u.with_values(u.values - u_prev.values))
+        part = solver.step(part, _columns(w, group))
+        u = _gather(part, group)
+        r = u.values - u_prev.values
+        du = float(np.sqrt(u.dx1 * u.dx2 * np.sum(r**2)))  # norm_l2 of r
         d1 = diff(u, Axis.X1, 1)
         g = d1.values if reuse_d1 else diff(u, params.axis, params.k).values
         reg = _roughness(g, u, params.p, params.beta)
-        fc = _data_term(u, u_prev, w) + params.alpha * reg
+        fc = _data_term(r, w, u) + params.alpha * reg
         trace.append(m, fc, reg, du, norm_linf(d1))
         u_prev = u
         if du <= stop_tol:

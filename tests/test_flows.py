@@ -133,6 +133,22 @@ class TestEvolve:
         with pytest.raises(FlowError):
             evolve(f, FlowParams(axis=Axis.X1, k=1, p=2, q=2), np.inf)
 
+    @pytest.mark.parametrize("name", ["dt_override", "max_change"])
+    @pytest.mark.parametrize("bad", [-1e-6, 0.0, -0.1, math.nan, math.inf])
+    def test_step_settings_must_be_finite_and_positive(self, name, bad):
+        # a negative step ran backwards in time, a zero one spun to
+        # max_steps and a NaN max_change dropped the cap
+        f = smooth_field(2)
+        with pytest.raises(FlowError, match=f"^{name} must be finite and positive, got {bad}$"):
+            evolve(f, FlowParams(axis=Axis.X1, k=1, p=2, q=2), 1e-4, max_steps=3, **{name: bad})
+
+    def test_step_settings_none_keeps_its_meaning(self):
+        f = smooth_field(2)
+        params = FlowParams(axis=Axis.X1, k=1, p=2, q=2)
+        free = evolve(f, params, 1e-4, dt_override=None, max_change=None)
+        capped = evolve(f, params, 1e-4, dt_override=None)
+        assert free.t == capped.t == 1e-4 and free.steps <= capped.steps
+
     @pytest.mark.parametrize("k,p,q", [(1, 2, 2), (1, 1, 1), (2, 2, 2)])
     def test_max_principle_for_k1_and_bounded_for_k2(self, k, p, q):
         # the k=2 stencil's stable step is dx^2 times smaller, so it gets a

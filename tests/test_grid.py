@@ -11,6 +11,7 @@ from dispflow.grid import (
     diff,
     diff_axis0,
     diff_matrix,
+    distinct_columns,
     norm_l2,
     norm_linf,
 )
@@ -178,3 +179,32 @@ class TestNorms:
         g = f.with_values(np.roll(f.values, 1, axis=0))
         s = f.with_values(f.values + g.values)
         assert norm_l2(s) <= norm_l2(f) + norm_l2(g) + 1e-9
+
+
+class TestDistinctColumns:
+    def test_first_and_inverse_rebuild_the_array(self):
+        base = np.random.default_rng(3).standard_normal((6, 4))
+        v = base[:, [2, 0, 2, 3, 1, 0, 2]]
+        first, inverse = distinct_columns(v)
+        assert len(first) == 4 and inverse.shape == (7,)
+        assert np.array_equal(v[:, first][:, inverse], v)
+        # first holds the first column of each group
+        assert all(first[inverse[j]] <= j for j in range(7))
+
+    def test_groups_by_bytes(self):
+        # -0.0 == 0.0 as floats, but the two columns stay apart
+        v = np.zeros((3, 4))
+        v[1, 1] = -0.0
+        v[:, 3] = v[:, 1]
+        first, inverse = distinct_columns(v)
+        assert len(first) == 2
+        assert inverse[0] == inverse[2] != inverse[1] == inverse[3]
+        assert np.array_equal(np.signbit(v[:, first][:, inverse]), np.signbit(v))
+
+    @pytest.mark.parametrize("shape", [(5, 1), (1, 5), (4, 4)])
+    def test_single_columns_and_strided_input(self, shape):
+        v = np.arange(float(np.prod(shape))).reshape(shape)
+        for a in (v, np.asfortranarray(v), np.ones((shape[1], shape[0])).T):
+            first, inverse = distinct_columns(a)
+            assert np.array_equal(a[:, first][:, inverse], a)
+        assert len(distinct_columns(np.ones(shape))[0]) == 1

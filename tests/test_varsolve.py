@@ -351,6 +351,24 @@ def _assert_same_bytes(a, b):
     assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+def _assert_same_run(run, ref):
+    # iterate's field, its memory order and every trace column, bit for bit
+    (u, trace), (ref_u, ref) = run, ref
+    _assert_same_bytes(u.values, ref_u.values)
+    assert u.values.flags.f_contiguous == ref_u.values.flags.f_contiguous
+    assert trace.m == ref.m and trace.warnings == ref.warnings
+    assert trace.converged == ref.converged
+    for col in ("fc", "reg", "du_l2", "grad_linf"):
+        assert np.array_equal(getattr(trace, col), getattr(ref, col)), col
+
+
+def _every_column(v):
+    """Stands in for grid.distinct_columns and calls every column distinct,
+    so that every line is solved."""
+    every = np.arange(v.shape[1])
+    return every, every
+
+
 def _small_case(axis, k, p, q, seed=0):
     # TestIterateReference's non-square 17 x 14 field with dx1 != dx2
     rng = np.random.default_rng(10 * k + 4 * p + 2 * q + int(axis) + 100 * seed)
@@ -376,13 +394,11 @@ class TestPreparedSolverBitwise:
         u, trace = iterate(u0, params, m_max=m_max, stop_tol=0.0)
         assert u0.values.tobytes() == before
         with monkeypatch.context() as mp:
+            # the stand-in solves every line it is given: it must be given all
+            mp.setattr(varsolve, "distinct_columns", _every_column)
             mp.setattr(varsolve, "_BandSolver", _FreshBandSolver)
             ref_u, ref = iterate(u0, params, m_max=m_max, stop_tol=0.0)
-        _assert_same_bytes(u.values, ref_u.values)
-        assert trace.m == ref.m and trace.warnings == ref.warnings
-        assert trace.converged == ref.converged
-        for col in ("fc", "reg", "du_l2", "grad_linf"):
-            assert np.array_equal(getattr(trace, col), getattr(ref, col)), col
+        _assert_same_run((u, trace), (ref_u, ref))
 
     def _check_step(self, u_prev, params):
         before = u_prev.values.tobytes()
@@ -463,3 +479,117 @@ class TestPreparedSolverErrors:
         solver = varsolve._BandSolver(u.shape, u.dx1, params)
         with pytest.raises(SolverError, match=r"^banded Cholesky solve failed \(LAPACK pbsv info 1\)$"):
             solver.solve(-np.ones((14, 17)), np.ones((14, 17)))
+
+
+def _repeated_columns(case):
+    # 17 rows, dx1 != dx2; the columns of a smooth bump plus noise
+    rng = np.random.default_rng(21)
+    base = np.sin(np.linspace(0.0, 3.0, 17))[:, None] + 0.3 * rng.standard_normal((17, 5))
+    if case == "scrambled_repeats":
+        v = base[:, [3, 0, 4, 0, 1, 3, 3, 2, 1, 0, 4]]
+    elif case == "zero_columns":
+        # a sinogram's columns outside the object's support
+        v = base[:, [0, 1, 2, 0, 3, 4, 0, 0]]
+        v[:, [1, 4, 6, 7]] = 0.0
+    elif case == "signed_zeros":
+        # columns 1 and 2 differ only in the sign of one zero sample, and the
+        # zero columns 4 and 5 in the sign of every sample
+        v = base[:, [0, 1, 1, 1, 0, 0, 0]]
+        v[6, 1:4] = [0.0, -0.0, -0.0]
+        v[:, 4:] = 0.0
+        v[:, 5] = -0.0
+    elif case == "all_equal":
+        v = base[:, [2] * 6]
+    elif case == "single":
+        v = base[:, :1]
+    else:
+        v = base
+    return ScalarField(np.ascontiguousarray(v), 0.1, 0.07)
+
+
+class TestColumnGrouping:
+    """A p=2 step along X1 solves each distinct column once, and gives the
+    bytes of solving every column."""
+
+    DISTINCT = dict(scrambled_repeats=5, zero_columns=4, signed_zeros=5, all_equal=1, single=1,
+                    no_repeats=5)
+
+    @staticmethod
+    def _runs(u0, params, monkeypatch, m_max=5):
+        got = convex_step(u0, params), iterate(u0, params, m_max=m_max, stop_tol=0.0)
+        with monkeypatch.context() as mp:
+            mp.setattr(varsolve, "distinct_columns", _every_column)
+            ref = convex_step(u0, params), iterate(u0, params, m_max=m_max, stop_tol=0.0)
+        return got, ref
+
+    @pytest.mark.parametrize("case", list(DISTINCT))
+    @pytest.mark.parametrize("k", [1, 2])
+    @pytest.mark.parametrize("p", [1, 2])
+    @pytest.mark.parametrize("q", [1, 2])
+    def test_x1_matches_solving_every_column(self, case, k, p, q, monkeypatch):
+        u0 = _repeated_columns(case)
+        params = EnergyParams(axis=Axis.X1, k=k, p=p, q=q, alpha=1e-4, eps=1e-2, beta=1.0)
+        before = u0.values.tobytes()
+        (step, run), (ref_step, ref_run) = self._runs(u0, params, monkeypatch)
+        assert u0.values.tobytes() == before
+        _assert_same_bytes(step.values, ref_step.values)
+        _assert_same_run(run, ref_run)
+        # the grouping is in force for p=2 whenever a column repeats
+        solver, group = varsolve._prepare(u0, params)
+        grouped = p == 2 and self.DISTINCT[case] < u0.n2
+        assert (group is not None) == grouped
+        lines = self.DISTINCT[case] if grouped else u0.n2
+        assert solver._band.shape[:2] == (lines, u0.n1)
+
+    def test_signed_zero_columns_stay_apart(self):
+        # an all -0.0 column solves to a column with some -0.0 samples, so
+        # merging it with the 0.0 columns would flip their signs
+        u0 = _repeated_columns("signed_zeros")
+        params = EnergyParams(axis=Axis.X1, k=1, p=2, q=2, alpha=1e-4, eps=1e-2)
+        first, inverse = varsolve._prepare(u0, params)[1]
+        assert len(first) == 5 and inverse[2] == inverse[3] != inverse[1]
+        assert inverse[4] == inverse[6] != inverse[5]
+        for u in (convex_step(u0, params), iterate(u0, params, m_max=3, stop_tol=0.0)[0]):
+            signs = np.signbit(u.values)
+            assert signs[:, 5].any() and not signs[:, [4, 6]].any()
+
+    @pytest.mark.parametrize("q", [1, 2])
+    def test_fig5_sinogram_grouped(self, q, monkeypatch):
+        v = _fig5_sinogram()
+        assert len(varsolve.distinct_columns(v.values)[0]) < v.n2
+        eps = 1e-3 * float(np.ptp(v.values)) ** 2
+        params = EnergyParams(axis=Axis.X1, k=1, p=2, q=q, alpha=1e-3, eps=eps)
+        (step, run), (ref_step, ref_run) = self._runs(v, params, monkeypatch, m_max=20)
+        _assert_same_bytes(step.values, ref_step.values)
+        _assert_same_run(run, ref_run)
+        assert run[0].values.flags.f_contiguous
+
+    @pytest.mark.parametrize("k", [1, 2])
+    @pytest.mark.parametrize("p", [1, 2])
+    @pytest.mark.parametrize("q", [1, 2])
+    def test_x2_and_p1_are_not_grouped(self, k, p, q, monkeypatch):
+        # the x1 weight couples the lines of an X2 step, so its repeated
+        # rows are solved each; X2 never calls the grouping helper
+        v = _repeated_columns("scrambled_repeats").values
+        u0 = ScalarField(np.ascontiguousarray(v.T), 0.07, 0.1)
+        calls = []
+        with monkeypatch.context() as mp:
+            mp.setattr(varsolve, "distinct_columns", lambda v: calls.append(v) or _every_column(v))
+            for axis in Axis:
+                params = EnergyParams(axis=axis, k=k, p=p, q=q, alpha=1e-4, eps=1e-2, beta=1.0)
+                assert varsolve._prepare(u0, params)[1] is None
+                if axis == Axis.X2:
+                    out = iterate(u0, params, m_max=2, stop_tol=0.0)[0].values
+                    assert not np.array_equal(out[1], out[3])  # rows equal in u0
+        assert len(calls) == (1 if p == 2 else 0)
+
+
+class TestStopTol:
+    @pytest.mark.parametrize("bad", [math.nan, -1e-9, -math.inf])
+    def test_nan_or_negative_is_one_line(self, bad):
+        with pytest.raises(SolverError, match=f"^stop_tol must be non-negative, got {bad}$"):
+            iterate(bumpy_field(9), EnergyParams(axis=Axis.X1), m_max=3, stop_tol=bad)
+
+    def test_zero_runs_every_iteration(self):
+        _, trace = iterate(bumpy_field(9), EnergyParams(axis=Axis.X1), m_max=3, stop_tol=0.0)
+        assert trace.m == [1, 2, 3] and not trace.converged
