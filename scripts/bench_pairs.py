@@ -9,10 +9,17 @@ one pair per seed; even pairs run BASE first and odd pairs CHANGE first,
 so a drift in machine load does not favour one side.  Prints each run's
 end-to-end metrics, then for every metric both sides' median and
 quartiles, the change in the median, the number of pairs the change won
-(by the metric's `better` direction in CHANGE's BENCHMARK.json) and the
-median gap against BASE's interquartile spread.  It only calls the
-benchmark; nothing under either checkout is written apart from what the
-benchmark itself writes and deletes.
+(by the metric's `better` direction in CHANGE's BENCHMARK.json), the
+median gap against BASE's interquartile spread, and a verdict against the
+metric's `bound` there, a share of BASE's median:
+- `worse beyond bound` if CHANGE's median is worse than BASE's by more
+  than the bound;
+- otherwise `unresolved` if BASE's interquartile spread over its median
+  exceeds the bound and not every CHANGE run beats every BASE run, since
+  runs that spread that widely cannot show that the metric held;
+- otherwise `within bound`.
+It only calls the benchmark; nothing under either checkout is written
+apart from what the benchmark itself writes and deletes.
 """
 
 from __future__ import annotations
@@ -41,6 +48,18 @@ def quartiles(xs: list[float]) -> tuple[float, float, float]:
     return q1, q2, q3
 
 
+def verdict(base: list[float], change: list[float], better: str, bound: float) -> str:
+    """The change's median against BASE's and the bound (see the module doc)."""
+    sign = 1.0 if better == "lower" else -1.0  # on sign * value, lower is better
+    base, change = [sign * x for x in base], [sign * x for x in change]
+    b1, b2, b3 = quartiles(base)
+    if statistics.median(change) - b2 > bound * abs(b2):
+        return "worse beyond bound"
+    if b3 - b1 > bound * abs(b2) and max(change) >= min(base):
+        return "unresolved"
+    return "within bound"
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("base", help="checkout of the parent commit")
@@ -53,7 +72,7 @@ def main(argv=None) -> int:
     if args.n < 1:
         ap.error("n must be at least 1")
     with open(os.path.join(args.change, "BENCHMARK.json")) as fh:
-        better = {m["name"]: m["better"] for m in json.load(fh)["end_to_end"]}
+        metrics = json.load(fh)["end_to_end"]
 
     sides = {"base": args.base, "change": args.change}
     runs = {"base": [], "change": []}
@@ -72,7 +91,8 @@ def main(argv=None) -> int:
         rs = runs[side]
         print(f"{side}: all correct={all(r['correct'] for r in rs)}, "
               f"failed {sum(r['failed'] for r in rs)} of {sum(r['attempted'] for r in rs)} operations")
-    for name, direction in better.items():
+    for metric in metrics:
+        name, direction = metric["name"], metric["better"]
         base = [r["metrics"][name]["value"] for r in runs["base"]]
         change = [r["metrics"][name]["value"] for r in runs["change"]]
         b1, b2, b3 = quartiles(base)
@@ -81,7 +101,9 @@ def main(argv=None) -> int:
         wins = sum(sign * (b - c) > 0 for b, c in zip(base, change))
         print(f"{name}: base {b2:.4g} [{b1:.4g}-{b3:.4g}]  change {c2:.4g} [{c1:.4g}-{c3:.4g}]  "
               f"{100.0 * (c2 - b2) / b2:+.1f}%  change better in {wins}/{args.n}  "
-              f"median gap {abs(c2 - b2):.4g} vs base IQR {b3 - b1:.4g}")
+              f"median gap {abs(c2 - b2):.4g} vs base IQR {b3 - b1:.4g}  "
+              f"{verdict(base, change, direction, metric['bound'])} "
+              f"({100.0 * metric['bound']:.0f}%)")
     return 0
 
 

@@ -35,8 +35,13 @@ from the package this script imports.  `import_ms` is the best of those
 times and `import_rss_mb` the lowest of the children's peak resident set
 (`ru_maxrss`).  `first_convex_step_ms` is the best, over N further fresh
 interpreters, of the first `convex_step` (p = 2) of a process on the
-sinogram above: the cold cost of the lagged iteration, scipy's import
-included, which a stage timed in this process never sees.
+sinogram above: the cold cost of the lagged iteration, the load of
+scipy's LAPACK wrappers included, which a stage timed in this process
+never sees.  `first_convex_step_rss_mb` is the lowest peak resident set
+of those children after that step (a peak that includes compiling the
+package, when no bytecode is cached), and `first_convex_step_scipy_modules`
+the number of `scipy*` entries it left in `sys.modules` (the largest over
+the children).
 """
 
 from __future__ import annotations
@@ -99,7 +104,7 @@ print(time.perf_counter() - t0, resource.getrusage(resource.RUSAGE_SELF).ru_maxr
 
 
 CONVEX_CHILD = """
-import math, sys, time
+import math, resource, sys, time
 sys.path.insert(0, sys.argv[1])
 import numpy as np
 from dispflow import (Axis, EnergyParams, convex_step, radon_perturbed,
@@ -112,7 +117,9 @@ params = EnergyParams(axis=Axis.X1, k=1, p=2, q=2, alpha=1e-3, eps=1e-3 * float(
 assert not any(name.startswith("scipy") for name in sys.modules)
 t0 = time.perf_counter()
 convex_step(v, params)
-print(time.perf_counter() - t0)
+t = time.perf_counter() - t0
+scipy = sum(name.startswith("scipy") for name in sys.modules)
+print(t, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, scipy)
 """
 
 
@@ -128,7 +135,9 @@ def cold_start(repeat: int) -> dict:
     return {
         "import_ms": round(1e3 * min(float(t) for t, _ in runs), 3),
         "import_rss_mb": round(min(int(kb) for _, kb in runs) / 1024.0, 3),
-        "first_convex_step_ms": round(1e3 * min(float(t) for t, in steps), 3),
+        "first_convex_step_ms": round(1e3 * min(float(t) for t, _, _ in steps), 3),
+        "first_convex_step_rss_mb": round(min(int(kb) for _, kb, _ in steps) / 1024.0, 3),
+        "first_convex_step_scipy_modules": max(int(m) for _, _, m in steps),
     }
 
 

@@ -66,6 +66,12 @@ def jitter_correct_rows(
     Rows (x2-lines) are processed in order; each row takes the shift that
     minimizes the squared order-k finite difference against the already
     corrected predecessor row(s).  O(M * n * width) total work.
+
+    All 2M+1 candidates of a row come from one take through an index table
+    clip(i - s, 0, n1 - 1) built once, which is shift_line for every s.
+    Their differences are broadcast with the operations, in the order, of
+    one candidate at a time, their costs come from one stacked product,
+    and they are scanned in _candidate_shifts order with one tie rule.
     """
     if M < 0:
         raise DiscreteError("M must be non-negative")
@@ -78,19 +84,21 @@ def jitter_correct_rows(
     out = np.empty_like(v)
     shifts = np.zeros(n_rows, dtype=np.int64)
     out[:, 0] = v[:, 0]
+    cands = _candidate_shifts(M)
+    index = np.clip(np.arange(img.n1) - np.array(cands)[:, None], 0, img.n1 - 1)
     for j in range(1, n_rows):
+        rows = v[:, j].take(index)  # rows[c] = shift_line(v[:, j], cands[c])
+        if k == 1 or j == 1:
+            d = rows - out[:, j - 1]
+        else:
+            d = rows - 2.0 * out[:, j - 1] + out[:, j - 2]
+        costs = np.matmul(d[:, None, :], d[:, :, None]).ravel().tolist()
         best, best_cost = 0, None
-        for s in _candidate_shifts(M):
-            cand = shift_line(v[:, j], s)
-            if k == 1 or j == 1:
-                d = cand - out[:, j - 1]
-            else:
-                d = cand - 2.0 * out[:, j - 1] + out[:, j - 2]
-            cost = float(d @ d)
+        for c, cost in enumerate(costs):
             if best_cost is None or cost < best_cost - 1e-12 * max(best_cost, 1.0):
-                best, best_cost = s, cost
-        shifts[j] = best
-        out[:, j] = shift_line(v[:, j], best)
+                best, best_cost = c, cost
+        shifts[j] = cands[best]
+        out[:, j] = rows[best]
     return img.with_values(out), IntShiftField(shifts, M)
 
 

@@ -399,10 +399,10 @@ def fbp(
     """Filtered backprojection onto an n_out x n_out image on [-1, 1]^2.
 
     backproject_angles overrides the angle labels used during
-    backprojection (they need not lie in [0, pi) or be ordered); the
-    default uses the sinogram's own labels.  Only the pixels of the
-    inscribed unit disk (the region covered by every projection) are
-    backprojected; the others are 0."""
+    backprojection (they need not lie in [0, pi) or be ordered, but must
+    be finite); the default uses the sinogram's own labels.  Only the
+    pixels of the inscribed unit disk (the region covered by every
+    projection) are backprojected; the others are 0."""
     if n_out < 16:
         raise TomoError("output size must be at least 16")
     if len(s.angles) < 2:
@@ -412,6 +412,8 @@ def fbp(
     )
     if len(bp_angles) != len(s.angles):
         raise TomoError("backproject_angles length must match the angle count")
+    if not np.isfinite(bp_angles).all():
+        raise TomoError("backproject_angles must be finite")
     rows = s.field.values
     n_off = rows.shape[1]
     n_pad = 1 << int(math.ceil(math.log2(2 * n_off)))

@@ -16,8 +16,12 @@ Both Fc(u_m, u_{m-1}) and R(u_m) decrease monotonically along the iteration.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import io
 import math
+import os
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,6 +33,8 @@ MONOTONE_SLACK = 1e-9
 #: p=1 inner fixed point: stop at this relative change, fail after INNER_MAX
 INNER_TOL = 1e-6
 INNER_MAX = 200
+#: scipy's compiled LAPACK wrappers, the module that holds dpbsv
+_FLAPACK = "scipy.linalg._flapack"
 
 
 class SolverError(RuntimeError):
@@ -157,7 +163,8 @@ def convex_step(u_prev: ScalarField, params: EnergyParams) -> ScalarField:
     diffusivity of the inner fixed point for p=1).  The lines, laid end to
     end, form one SPD matrix of half-bandwidth k+1 with no entry coupling
     two lines, factored in place by one LAPACK banded Cholesky solve
-    (`_BandSolver`, built once per call; scipy is imported on the first).
+    (`_BandSolver`, built once per call; the first call of a process loads
+    scipy's compiled LAPACK wrappers, see `_load_dpbsv`).
     A p=2 step along X1 solves each distinct column once (see `_prepare`).
     """
     solver, group = _prepare(u_prev, params)
@@ -201,6 +208,49 @@ def _gather(part: ScalarField, group) -> ScalarField:
     return part if group is None else part.with_values(np.take(part.values.T, group[1], axis=0).T)
 
 
+def _load_dpbsv():
+    """LAPACK dpbsv, the banded Cholesky solve, from scipy.linalg._flapack.
+
+    scipy.linalg.lapack, dpbsv's public home, imports all of scipy.linalg
+    with it.  The compiled module it re-exports needs only numpy: it is
+    reused from sys.modules if scipy.linalg loaded it already, and is
+    otherwise loaded alone from scipy's package directory, which
+    find_spec locates without importing scipy.  It is registered under
+    its real name, so a later import of scipy.linalg reuses it and
+    scipy.linalg.lapack.dpbsv is this same function.  If the file is
+    missing or does not load, dpbsv comes from scipy.linalg.lapack.
+    """
+    module = sys.modules.get(_FLAPACK) or _load_flapack()
+    if module is None:
+        from scipy.linalg.lapack import dpbsv
+
+        return dpbsv
+    return module.dpbsv
+
+
+def _load_flapack():
+    """scipy.linalg._flapack loaded from its file and registered in
+    sys.modules, or None if no such file loads."""
+    spec = importlib.util.find_spec("scipy")
+    roots = spec.submodule_search_locations if spec else None
+    for root in roots or ():
+        for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+            path = os.path.join(root, "linalg", "_flapack" + suffix)
+            if not os.path.isfile(path):
+                continue
+            loader = importlib.machinery.ExtensionFileLoader(_FLAPACK, path)
+            try:
+                module = importlib.util.module_from_spec(
+                    importlib.util.spec_from_file_location(_FLAPACK, path, loader=loader)
+                )
+                loader.exec_module(module)
+            except ImportError:
+                return None
+            sys.modules[_FLAPACK] = module
+            return module
+    return None
+
+
 class _BandSolver:
     """The convex step's banded system on one grid shape, prepared once.
 
@@ -209,14 +259,14 @@ class _BandSolver:
     every solve refills all of it: for p=2 from a template of the constant
     rows alpha * D^T D built once, for p=1 from the current mobility.  Each
     solve checks once that the band and right-hand side are finite, which
-    is what scipy's solveh_banded would check on its own copies.
+    is what scipy's solveh_banded would check on its own copies.  pbsv is
+    scipy's dpbsv, loaded on the first solver of a process by
+    `_load_dpbsv`, so that the package and every other pipeline run
+    without scipy and this one loads one scipy module, not scipy.linalg.
     """
 
     def __init__(self, shape, spacing: float, params: EnergyParams):
-        # imported here so that the package and every other pipeline load without scipy
-        from scipy.linalg.lapack import dpbsv
-
-        self._pbsv = dpbsv
+        self._pbsv = _load_dpbsv()
         self.params = params
         self.along_x1 = params.axis == Axis.X1
         n, lines = shape if self.along_x1 else shape[::-1]  # one line per row

@@ -176,6 +176,16 @@ class TestFBPAndMetrics:
         assert run("fbp", f"--in={sino}", "--n-out=32", f"--out={rec}") == 0
         assert read_csv(rec).shape == (32, 32)
 
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_fbp_non_finite_compensate_is_one_line(self, tmp_path, capsys, bad):
+        sino = tmp_path / "s.csv"
+        run("sinogram", "--n=16", "--angle-step=pi/8", f"--out={sino}")
+        capsys.readouterr()
+        out = tmp_path / "r.csv"
+        assert run("fbp", f"--in={sino}", "--n-out=16", f"--compensate={bad}", f"--out={out}") == 1
+        assert capsys.readouterr().err == "dispflow: error: backproject_angles must be finite\n"
+        assert not out.exists()
+
     def test_metrics_output(self, tmp_path, capsys):
         a = tmp_path / "a.csv"
         run("phantom", "--n=16", f"--out={a}")

@@ -9,6 +9,7 @@ from dispflow.discrete import (
     DiscreteError,
     IntShiftField,
     block_assign_columns,
+    _candidate_shifts,
     column_cost,
     jitter_correct_rows,
     shift_line,
@@ -94,6 +95,69 @@ class TestJitterCorrect:
             jitter_correct_rows(f, M=2, k=3)
         with pytest.raises(DiscreteError):
             jitter_correct_rows(f, M=10)
+
+
+def _ref_jitter_correct(img, M, k=1):
+    """The per-candidate search: each row tries shift_line for every s in
+    _candidate_shifts order, one difference and one dot product at a time."""
+    v = img.values
+    out = np.empty_like(v)
+    shifts = np.zeros(img.n2, dtype=np.int64)
+    out[:, 0] = v[:, 0]
+    for j in range(1, img.n2):
+        best, best_cost = 0, None
+        for s in _candidate_shifts(M):
+            cand = shift_line(v[:, j], s)
+            if k == 1 or j == 1:
+                d = cand - out[:, j - 1]
+            else:
+                d = cand - 2.0 * out[:, j - 1] + out[:, j - 2]
+            cost = float(d @ d)
+            if best_cost is None or cost < best_cost - 1e-12 * max(best_cost, 1.0):
+                best, best_cost = s, cost
+        shifts[j] = best
+        out[:, j] = shift_line(v[:, j], best)
+    return out, shifts
+
+
+def _sinogram(n, n_angles, seed):
+    angles = np.arange(n_angles) * np.pi / n_angles
+    pert = sample_uniform_displacement(angles, np.pi / 18, seed)
+    return radon_perturbed(shepp_logan(n), angles, None, pert).field.values
+
+
+class TestJitterCorrectReference:
+    """jitter_correct_rows picks the shifts and writes the bytes of the
+    per-candidate search."""
+
+    def check(self, v, M, k):
+        f = ScalarField(v, 1, 1)
+        out, rec = jitter_correct_rows(f, M, k)
+        ref, ref_shifts = _ref_jitter_correct(f, M, k)
+        assert out.values.tobytes() == ref.tobytes()
+        assert np.array_equal(rec.shifts, ref_shifts)
+
+    @pytest.mark.parametrize("k", [1, 2])
+    @pytest.mark.parametrize("M", [0, 1, 5, 12])
+    def test_same_on_random_and_tied_rows(self, M, k):
+        for seed in range(5):
+            rng = np.random.default_rng(seed)
+            self.check(rng.standard_normal((29, 9)), M, k)
+            # small integers: many candidates cost exactly the same, and
+            # with 1e-14 noise within the tie margin of each other
+            ints = rng.integers(0, 3, size=(29, 9)).astype(float)
+            self.check(ints, M, k)
+            self.check(ints + 1e-14 * rng.standard_normal(ints.shape), M, k)
+
+    @pytest.mark.parametrize("k", [1, 2])
+    @pytest.mark.parametrize("M", [0, 1, 5, 12])
+    def test_same_on_jittered_sinograms(self, M, k):
+        for seed in (1, 2):
+            self.check(_sinogram(48, 32, seed), M, k)
+        self.check(_sinogram(128, 90, 3), M, k)
+
+    def test_single_row_is_left_alone(self):
+        self.check(np.arange(7.0)[:, None], 3, 2)
 
 
 class TestBlockAssign:

@@ -468,6 +468,14 @@ class TestFBP:
         with pytest.raises(TomoError):
             fbp(radon(ph, ANGLES_90[:8]), 8)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_backproject_angles_rejected(self, bad):
+        s = radon(shepp_logan(32), ANGLES_90[:8])
+        angles = s.angles.copy()
+        angles[3] = bad
+        with pytest.raises(TomoError, match=r"^backproject_angles must be finite$"):
+            fbp(s, 32, backproject_angles=angles)
+
 
 class TestOffsets:
     def test_default_offsets_cover_diagonal(self):

@@ -1,7 +1,11 @@
+import importlib.machinery
+import importlib.util
 import math
+import sys
 
 import numpy as np
 import pytest
+import scipy.linalg.lapack
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import solveh_banded
@@ -455,6 +459,53 @@ class TestPreparedSolverBitwise:
             a, b, again = (call(u).values for u in (u0, u1, u0))
             _assert_same_bytes(a, again)
             assert not np.array_equal(a, b)
+
+
+class TestLoadDpbsv:
+    """The solver's dpbsv is scipy.linalg.lapack's, however it was found."""
+
+    def test_is_scipy_linalg_lapack_dpbsv(self):
+        assert varsolve._load_dpbsv() is scipy.linalg.lapack.dpbsv
+        solver = varsolve._BandSolver((5, 4), 0.1, EnergyParams())
+        assert solver._pbsv is scipy.linalg.lapack.dpbsv
+
+    def test_missing_file_falls_back_with_the_same_bytes(self, monkeypatch):
+        v = _fig5_sinogram()
+        eps = 1e-3 * float(np.ptp(v.values)) ** 2
+        cases = [(v, EnergyParams(axis=Axis.X1, k=1, p=2, q=2, alpha=1e-3, eps=eps)),
+                 _small_case(Axis.X1, 1, 1, 2), _small_case(Axis.X2, 2, 2, 1)]
+        runs = [iterate(u0, params, m_max=4, stop_tol=0.0) for u0, params in cases]
+        with monkeypatch.context() as mp:
+            # scipy.linalg is loaded here: drop the cached module for the
+            # call, and leave the file lookup no suffix to try
+            mp.delitem(sys.modules, varsolve._FLAPACK)
+            mp.setattr(importlib.machinery, "EXTENSION_SUFFIXES", [])
+            assert varsolve._load_flapack() is None
+            assert varsolve._load_dpbsv() is scipy.linalg.lapack.dpbsv
+            assert varsolve._FLAPACK not in sys.modules
+            again = [iterate(u0, params, m_max=4, stop_tol=0.0) for u0, params in cases]
+        for run, ref in zip(again, runs):
+            _assert_same_run(run, ref)
+
+    def test_file_that_does_not_load_falls_back(self, monkeypatch, tmp_path):
+        # a stand-in scipy directory whose _flapack file is not an extension
+        (tmp_path / "linalg").mkdir()
+        suffix = importlib.machinery.EXTENSION_SUFFIXES[0]
+        (tmp_path / "linalg" / ("_flapack" + suffix)).write_bytes(b"not a shared object")
+        spec = importlib.machinery.ModuleSpec("scipy", None, is_package=True)
+        spec.submodule_search_locations = [str(tmp_path)]
+        with monkeypatch.context() as mp:
+            mp.delitem(sys.modules, varsolve._FLAPACK)
+            mp.setattr(importlib.util, "find_spec", lambda name: spec)
+            assert varsolve._load_flapack() is None
+            assert varsolve._load_dpbsv() is scipy.linalg.lapack.dpbsv
+            assert varsolve._FLAPACK not in sys.modules
+
+    def test_reuses_a_loaded_module(self, monkeypatch):
+        # with _flapack in sys.modules the file is never looked up
+        with monkeypatch.context() as mp:
+            mp.setattr(importlib.util, "find_spec", None)
+            assert varsolve._load_dpbsv() is scipy.linalg.lapack.dpbsv
 
 
 class TestPreparedSolverErrors:
