@@ -13,6 +13,8 @@ p = 2 settings, q = 2 and q = 1, stop_tol = 0), `iterate_k1p2q2_noisy`
 deviation 1% of its maximum, seed 7: no column repeats, so it times the
 convex step that solves every column), `block_assign_columns`
 with M = 10 and `jitter_correct_rows` with M = 5;
+`load_configs` (`load_config` of every shipped configs/*.cfg in turn, the
+parsing that the benchmark's config workloads do in their set-up);
 then `radon_perturbed` and `fbp` once more at the larger size n = 256,
 180 angles (same seed and bound), printed with the suffix `_256x180`.
 The explicit flow stepper is timed on its own inputs: `fig2_flow` and
@@ -52,6 +54,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
 import argparse  # noqa: E402
+import glob  # noqa: E402
 import json  # noqa: E402
 import math  # noqa: E402
 import subprocess  # noqa: E402
@@ -164,6 +167,7 @@ def main(argv=None) -> int:
     pert, sigma = sample_uniform_displacement(angles, A, SEED), 0.01 * float(np.abs(v.values).max())
     noisy = radon_perturbed(shepp_logan(N), angles, None, pert, sigma, SEED).field
     fig5 = load_config(os.path.join(ROOT, "configs", "fig5.cfg"))
+    config_paths = sorted(glob.glob(os.path.join(ROOT, "configs", "*.cfg")))
     eps = 1e-3 * float(np.ptp(v.values)) ** 2
 
     def step(p, q=2):
@@ -178,6 +182,7 @@ def main(argv=None) -> int:
         "iterate_k1p2q2_noisy": lambda: iterate(noisy, step(2), m_max=50, stop_tol=0.0),
         "block_assign_columns_M10": lambda: block_assign_columns(v, 10),
         "jitter_correct_rows_M5": lambda: jitter_correct_rows(v, 5),
+        "load_configs": lambda: [load_config(path) for path in config_paths],
     })
     for name, image in (("fig2", _strip_image), ("fig3", _interface_image)):
         cfg = load_config(os.path.join(ROOT, "configs", name + ".cfg"))

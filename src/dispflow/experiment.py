@@ -1,11 +1,15 @@
 """Experiment pipelines: named configs drive phantom -> projection ->
 correction -> reconstruction -> metrics, with all intermediates on disk.
 
-Config files are plain line-based ``key = value`` with ``[section]``
-headers (parsed by configparser).  Sections: [experiment], [tomo],
-[image], [flow], [varsolve], [discrete].  Every run writes a
-``config.echo.cfg`` copy and a ``metrics.csv`` next to the field artifacts
-so a run is reproducible from its output directory alone.
+Config files are line-based ``key = value`` with ``[section]`` headers
+(parsed by configparser).  ``ExperimentConfig``'s fields are the one schema
+for both parsing and echo: each names its section, and its key where that
+differs from the field name; ``[flow]`` and ``[varsolve]`` are the fields of
+``FlowParams`` and ``EnergyParams`` followed by ``t_end`` and ``m_max``.  An
+unknown section or key, or a value that does not parse, is a ConfigError.
+Every run writes a ``config.echo.cfg`` copy (all but ``outdir``) and a
+``metrics.csv`` next to the field artifacts so a run is reproducible from
+its output directory alone.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ from __future__ import annotations
 import configparser
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, is_dataclass
 
 import numpy as np
 
@@ -73,55 +77,60 @@ _STAGES = ("none", "flow", "varsolve", "jitter", "assign")
 _INPUTS = ("phantom", "strip", "interface")
 
 
+def _setting(section: str, default, key: str | None = None, parse=None, echo: bool = True):
+    """A field read from ``key`` (default: the field's name) in ``[section]``,
+    parsed by ``parse`` (default: by its annotation)."""
+    return field(default=default,
+                 metadata={"section": section, "key": key, "parse": parse, "echo": echo})
+
+
 @dataclass
 class ExperimentConfig:
-    """Flat bag of pipeline settings; see configs/ for examples."""
+    """Every pipeline setting.  Each field is read from, and echoed to, the
+    config section and key its metadata names; see configs/ for examples."""
 
-    name: str = "experiment"
-    input: str = "phantom"  # phantom | strip | interface
-    correction: str = "none"  # none | flow | varsolve | jitter | assign
-    outdir: str = "out"
+    name: str = _setting("experiment", "experiment")  # load_config: the file's stem
+    input: str = _setting("experiment", "phantom")  # phantom | strip | interface
+    correction: str = _setting("experiment", "none")  # none | flow | varsolve | jitter | assign
+    outdir: str = _setting("experiment", "out", echo=False)
     # tomography settings
-    n: int = 128
-    n_out: int = 128
-    variant: str = "high-contrast"
-    angle_step: float = math.pi / 90
-    a: float = 0.0
-    noise: float = 0.0  # Gaussian sigma as a fraction of the sinogram max
-    seed: int = 7
-    filter: str = "ram-lak"
-    compensate: bool = False  # backproject at theta + a/2 (known-mean shift)
+    n: int = _setting("tomo", 128)
+    n_out: int = _setting("tomo", 128)  # load_config: the file's n when [tomo] omits it
+    variant: str = _setting("tomo", "high-contrast")
+    angle_step: float = _setting("tomo", math.pi / 90, parse=parse_angle)
+    a: float = _setting("tomo", 0.0, parse=parse_angle)
+    noise: float = _setting("tomo", 0.0)  # Gaussian sigma as a fraction of the sinogram max
+    seed: int = _setting("tomo", 7)
+    filter: str = _setting("tomo", "ram-lak")
+    compensate: bool = _setting("tomo", False)  # backproject at theta + a/2 (known-mean shift)
     # synthetic-image settings (strip / interface inputs)
-    image_n: int = 64
-    strip_width: int = 5
-    amplitude: float = 255.0
-    dx1: float = 0.1
-    dx2: float = 0.1
-    # flow settings
-    flow: FlowParams = field(
-        default_factory=lambda: FlowParams(axis=Axis.X1, k=1, p=2, q=2)
-    )
-    t_end: float = 1e-3
-    # varsolve settings
-    energy: EnergyParams = field(
-        default_factory=lambda: EnergyParams(axis=Axis.X1, k=1, p=2, q=2)
-    )
-    m_max: int = 50
+    image_n: int = _setting("image", 64, key="n")
+    strip_width: int = _setting("image", 5)
+    amplitude: float = _setting("image", 255.0)
+    dx1: float = _setting("image", 0.1)
+    dx2: float = _setting("image", 0.1)
+    # one key per field of the nested parameter object, then the stage's own
+    flow: FlowParams = field(default_factory=FlowParams, metadata={"section": "flow"})
+    t_end: float = _setting("flow", 1e-3)
+    energy: EnergyParams = field(default_factory=EnergyParams, metadata={"section": "varsolve"})
+    m_max: int = _setting("varsolve", 50)
     # discrete settings
-    M: int = 5
-    korder: int = 1
+    M: int = _setting("discrete", 5, key="m")
+    korder: int = _setting("discrete", 1)
 
     def __post_init__(self):
-        self.validate()
-
-    def validate(self):
         if self.correction not in _STAGES:
             raise ConfigError(f"unknown correction stage {self.correction!r}")
         if self.input not in _INPUTS:
             raise ConfigError(f"unknown input kind {self.input!r}")
         for key in ("a", "noise"):
-            if getattr(self, key) < 0:
-                raise ConfigError(f"{key} must be non-negative, got {getattr(self, key)}")
+            # a NaN or inf here would otherwise run the clean pipeline or fail mid-run
+            if not 0 <= getattr(self, key) < math.inf:
+                raise ConfigError(f"{key} must be non-negative and finite, got {getattr(self, key)}")
+        if not (0 < self.angle_step < math.inf and round(math.pi / self.angle_step) >= 2):
+            raise ConfigError(
+                f"angle_step must give at least two angles in [0, pi), got {self.angle_step}"
+            )
 
 
 def _axis(text: str) -> Axis:
@@ -133,91 +142,75 @@ def _axis(text: str) -> Axis:
     raise ConfigError(f"unknown axis {text!r}")
 
 
+def _boolean(text: str) -> bool:
+    try:
+        return configparser.ConfigParser.BOOLEAN_STATES[text.lower()]
+    except KeyError:
+        raise ConfigError(f"not a boolean: {text!r}") from None
+
+
+def _schema() -> dict:
+    """{section: {key: (owner, attribute, parser, echoed)}} in file order, from
+    ExperimentConfig's fields; owner is the FlowParams or EnergyParams field
+    that holds the attribute, or None.  The parsers are looked up from the
+    (string) annotations here, once, rather than on every load."""
+    parsers = {"str": str, "int": int, "float": float, "bool": _boolean, "Axis": _axis}
+    table = {}
+    for f in fields(ExperimentConfig):
+        keys = table.setdefault(f.metadata["section"], {})
+        if f.name in _NESTED:
+            for g in fields(_NESTED[f.name]):
+                keys[g.name] = (f.name, g.name, parsers[g.type], True)
+        else:
+            parse = f.metadata["parse"] or parsers[f.type]
+            keys[f.metadata["key"] or f.name] = (None, f.name, parse, f.metadata["echo"])
+    return table
+
+
+_NESTED = {f.name: f.default_factory for f in fields(ExperimentConfig)
+           if is_dataclass(f.default_factory)}
+_SCHEMA = _schema()
+
+
 def load_config(path) -> ExperimentConfig:
     cp = configparser.ConfigParser(inline_comment_prefixes=("#",))
-    read = cp.read(path)
+    try:
+        read = cp.read(path)
+    except configparser.Error as exc:
+        raise ConfigError(" ".join(str(exc).split())) from None
     if not read:
         raise ConfigError(f"cannot read config {path!r}")
-    cfg = ExperimentConfig()
-    exp = cp["experiment"] if cp.has_section("experiment") else {}
-    cfg.name = exp.get("name", os.path.splitext(os.path.basename(path))[0])
-    cfg.input = exp.get("input", cfg.input)
-    cfg.correction = exp.get("correction", cfg.correction)
-    cfg.outdir = exp.get("outdir", cfg.outdir)
-    if cp.has_section("tomo"):
-        t = cp["tomo"]
-        cfg.n = t.getint("n", cfg.n)
-        cfg.n_out = t.getint("n_out", cfg.n)
-        cfg.variant = t.get("variant", cfg.variant)
-        cfg.angle_step = parse_angle(t.get("angle_step", str(cfg.angle_step)))
-        cfg.a = parse_angle(t.get("a", str(cfg.a)))
-        cfg.noise = t.getfloat("noise", cfg.noise)
-        cfg.seed = t.getint("seed", cfg.seed)
-        cfg.filter = t.get("filter", cfg.filter)
-        cfg.compensate = t.getboolean("compensate", cfg.compensate)
-    if cp.has_section("image"):
-        im = cp["image"]
-        cfg.image_n = im.getint("n", cfg.image_n)
-        cfg.strip_width = im.getint("strip_width", cfg.strip_width)
-        cfg.amplitude = im.getfloat("amplitude", cfg.amplitude)
-        cfg.dx1 = im.getfloat("dx1", cfg.dx1)
-        cfg.dx2 = im.getfloat("dx2", cfg.dx2)
-    if cp.has_section("flow"):
-        fl = cp["flow"]
-        cfg.flow = FlowParams(
-            axis=_axis(fl.get("axis", "X1")),
-            k=fl.getint("k", 1),
-            p=fl.getint("p", 2),
-            q=fl.getint("q", 2),
-            beta=fl.getfloat("beta", 1e-6),
-            eps=fl.getfloat("eps", 0.0),
-            cfl=fl.getfloat("cfl", 0.5),
-        )
-        cfg.t_end = fl.getfloat("t_end", cfg.t_end)
-    if cp.has_section("varsolve"):
-        vs = cp["varsolve"]
-        cfg.energy = EnergyParams(
-            axis=_axis(vs.get("axis", "X1")),
-            k=vs.getint("k", 1),
-            p=vs.getint("p", 2),
-            q=vs.getint("q", 2),
-            alpha=vs.getfloat("alpha", 1.0),
-            eps=vs.getfloat("eps", 1e-3),
-            beta=vs.getfloat("beta", 1e-6),
-        )
-        cfg.m_max = vs.getint("m_max", cfg.m_max)
-    if cp.has_section("discrete"):
-        d = cp["discrete"]
-        cfg.M = d.getint("m", cfg.M)
-        cfg.korder = d.getint("korder", cfg.korder)
-    cfg.validate()
-    return cfg
+    kw = {"name": os.path.splitext(os.path.basename(path))[0]}
+    for section in cp.sections():
+        if section not in _SCHEMA:
+            raise ConfigError(f"unknown section [{section}]")
+        for key, text in cp.items(section):
+            if key not in _SCHEMA[section]:
+                raise ConfigError(f"unknown key {key!r} in [{section}]")
+            owner, attr, parse, _ = _SCHEMA[section][key]
+            try:
+                value = parse(text)
+            except ValueError as exc:
+                raise ConfigError(f"[{section}] {key}: {exc}") from None
+            (kw.setdefault(owner, {}) if owner else kw)[attr] = value
+    if "n" in kw:
+        kw.setdefault("n_out", kw["n"])
+    for owner, params in _NESTED.items():
+        if owner in kw:
+            kw[owner] = params(**kw[owner])
+    return ExperimentConfig(**kw)
 
 
 def _echo_config(cfg: ExperimentConfig, outdir: str):
-    lines = ["[experiment]"]
-    for key in ("name", "input", "correction"):
-        lines.append(f"{key} = {getattr(cfg, key)}")
-    lines += ["", "[tomo]"]
-    for key in ("n", "n_out", "variant", "angle_step", "a", "noise", "seed",
-                "filter", "compensate"):
-        lines.append(f"{key} = {getattr(cfg, key)}")
-    lines += ["", "[image]", f"n = {cfg.image_n}"]
-    for key in ("strip_width", "amplitude", "dx1", "dx2"):
-        lines.append(f"{key} = {getattr(cfg, key)}")
-    fp = cfg.flow
-    lines += ["", "[flow]",
-              f"axis = {fp.axis.name}", f"k = {fp.k}", f"p = {fp.p}",
-              f"q = {fp.q}", f"beta = {fp.beta}", f"eps = {fp.eps}",
-              f"cfl = {fp.cfl}", f"t_end = {cfg.t_end}"]
-    ep = cfg.energy
-    lines += ["", "[varsolve]",
-              f"axis = {ep.axis.name}", f"k = {ep.k}", f"p = {ep.p}",
-              f"q = {ep.q}", f"alpha = {ep.alpha}", f"eps = {ep.eps}",
-              f"beta = {ep.beta}", f"m_max = {cfg.m_max}"]
-    lines += ["", "[discrete]", f"m = {cfg.M}", f"korder = {cfg.korder}", ""]
+    lines = []
+    for section, keys in _SCHEMA.items():
+        lines += ["", f"[{section}]"]
+        for key, (owner, attr, _, echo) in keys.items():
+            if echo:
+                value = getattr(getattr(cfg, owner) if owner else cfg, attr)
+                lines.append(f"{key} = {value.name if isinstance(value, Axis) else value}")
     with open(os.path.join(outdir, "config.echo.cfg"), "w") as fh:
-        fh.write("\n".join(lines))
+        fh.write("\n".join(lines[1:] + [""]))
 
 
 def _write_residuals(path, residuals):

@@ -41,7 +41,6 @@ class FlowParams:
     beta: float = 1e-6   # smoothing of |s| in the p=1 quotient
     eps: float = 0.0     # additive mobility floor
     cfl: float = 0.5     # CFL safety factor, in (0, 1]
-    dt_max: float = np.inf
 
     def __post_init__(self):
         if self.k not in (1, 2) or self.p not in (1, 2) or self.q not in (1, 2):
@@ -49,8 +48,6 @@ class FlowParams:
         for name in ("beta", "eps"):
             if not math.isfinite(getattr(self, name)):
                 raise FlowError(f"{name} must be finite, got {getattr(self, name)}")
-        if not self.dt_max > 0:
-            raise FlowError(f"dt_max must be positive, got {self.dt_max}")
         if self.p == 1 and self.beta <= 0:
             raise FlowError("beta must be positive when p=1")
         if self.eps < 0:
@@ -241,7 +238,7 @@ def _stable_dt(v: np.ndarray, dx: float, params: FlowParams, ws: _Workspace):
             np.multiply(mob, b2, out=coeff)
             np.divide(coeff, g, out=coeff)
         cmax = max(float(coeff.max()), floor)
-        return float(min(num / (den * cmax), params.dt_max))
+        return float(num / (den * cmax))
 
     return run
 

@@ -218,3 +218,16 @@ class TestTopLevel:
         rc = run("fbp", "--in=/nonexistent/x.csv", f"--out={tmp_path / 'o.csv'}")
         assert rc != 0
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text,msg", [
+        ("[flow]\nt-end = 5\n", "unknown key 't-end' in [flow]"),
+        ("[flow]\nk = 1.5\n", "[flow] k: invalid literal for int() with base 10: '1.5'"),
+        ("[tomo]\nangle_step = 0\n",
+         "angle_step must give at least two angles in [0, pi), got 0.0"),
+    ])
+    def test_experiment_bad_config_is_one_line(self, tmp_path, capsys, text, msg):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"[experiment]\noutdir = {tmp_path / 'out'}\n" + text)
+        assert run("experiment", f"--config={cfg}") == 1
+        assert capsys.readouterr().err == f"dispflow: error: {msg}\n"
+        assert not (tmp_path / "out").exists()  # nothing is written before the check

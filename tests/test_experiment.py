@@ -1,11 +1,13 @@
 import dataclasses
 import math
 import os
+import re
 
 import numpy as np
 import pytest
 
 from dispflow.experiment import (
+    _SCHEMA,
     ConfigError,
     ExperimentConfig,
     _echo_config,
@@ -14,7 +16,9 @@ from dispflow.experiment import (
     run_experiment,
 )
 from dispflow.fileio import read_csv
-from dispflow.varsolve import SolverError
+from dispflow.flows import FlowParams
+from dispflow.grid import Axis
+from dispflow.varsolve import EnergyParams, SolverError
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
@@ -59,15 +63,115 @@ class TestLoadConfig:
             load_config(p)
 
 
-    @pytest.mark.parametrize("a,noise", [("-0.1", "0"), ("0.1", "-0.5")])
+    @pytest.mark.parametrize("a,noise", [("-0.1", "0"), ("0.1", "-0.5"), ("nan", "0"),
+                                         ("0", "nan"), ("inf", "0"), ("0", "inf")])
     def test_negative_bound_or_noise(self, tmp_path, a, noise):
-        # read as "no jitter" or "no noise" these would run the clean pipeline
+        # read as "no jitter" or "no noise" these would run the clean pipeline;
+        # inf fails mid-run, after the echo and the phantom are written
         p = tmp_path / "neg.cfg"
         p.write_text(f"[experiment]\nname = x\n[tomo]\na = {a}\nnoise = {noise}\n")
         with pytest.raises(ConfigError, match="must be non-negative"):
             load_config(p)
         with pytest.raises(ConfigError, match="must be non-negative"):
             ExperimentConfig(a=float(a), noise=float(noise))
+
+    @pytest.mark.parametrize("step", ["0", "nan", "-0.1", "4", "inf"])
+    def test_angle_step_without_two_angles(self, tmp_path, step):
+        # each failed only inside the run (ZeroDivisionError, NaN to int, or in
+        # radon / fbp), after config.echo.cfg and phantom.pgm were written
+        msg = f"angle_step must give at least two angles in [0, pi), got {float(step)}"
+        p = tmp_path / "step.cfg"
+        p.write_text(f"[tomo]\nangle_step = {step}\n")
+        with pytest.raises(ConfigError, match=f"^{re.escape(msg)}$"):
+            load_config(p)
+        with pytest.raises(ConfigError, match=f"^{re.escape(msg)}$"):
+            ExperimentConfig(angle_step=float(step))
+        assert ExperimentConfig(angle_step=2.0).angle_step == 2.0  # round(pi / 2) == 2
+
+    @pytest.mark.parametrize("text,msg", [
+        ("[flow]\nt-end = 5\n", "unknown key 't-end' in [flow]"),
+        ("[flow]\nkk = 2\n", "unknown key 'kk' in [flow]"),
+        ("[flwo]\nt_end = 5\n", "unknown section [flwo]"),
+        ("[Flow]\nt_end = 5\n", "unknown section [Flow]"),
+        ("[image]\nimage_n = 32\n", "unknown key 'image_n' in [image]"),
+        ("[tomo]\nname = y\n", "unknown key 'name' in [tomo]"),
+        ("[tomo]\ndt_max = 1\n", "unknown key 'dt_max' in [tomo]"),
+    ])
+    def test_unknown_section_or_key(self, tmp_path, text, msg):
+        # each was ignored, so the run used the default in its place
+        p = tmp_path / "unknown.cfg"
+        p.write_text("[experiment]\nname = x\n" + text)
+        with pytest.raises(ConfigError, match=f"^{re.escape(msg)}$"):
+            load_config(p)
+
+    @pytest.mark.parametrize("text,msg", [
+        ("[flow]\nk = 1.5\n", "[flow] k: invalid literal for int() with base 10: '1.5'"),
+        ("[tomo]\ncompensate = maybe\n", "[tomo] compensate: not a boolean: 'maybe'"),
+        ("[varsolve]\naxis = X3\n", "[varsolve] axis: unknown axis 'X3'"),
+        ("[tomo]\na = pie\n", "[tomo] a: cannot parse angle 'pie'"),
+        ("[image]\namplitude = bright\n",
+         "[image] amplitude: could not convert string to float: 'bright'"),
+    ])
+    def test_malformed_value_names_section_and_key(self, tmp_path, text, msg):
+        p = tmp_path / "malformed.cfg"
+        p.write_text(text)
+        with pytest.raises(ConfigError, match=f"^{re.escape(msg)}$"):
+            load_config(p)
+
+    @pytest.mark.parametrize("text", ["n = 32\n", "[tomo]\nn = 32\n[tomo]\nn = 64\n",
+                                      "[tomo]\nn = 32\nn = 64\n"])
+    def test_malformed_file_is_one_line(self, tmp_path, text):
+        p = tmp_path / "malformed.cfg"
+        p.write_text(text)
+        with pytest.raises(ConfigError) as info:
+            load_config(p)
+        assert "\n" not in str(info.value)
+
+    def test_unset_keys(self, tmp_path):
+        # name is the file's stem, n_out the file's n, everything else the default
+        p = tmp_path / "bare.cfg"
+        p.write_text("[tomo]\nn = 32\n")
+        assert load_config(p) == ExperimentConfig(name="bare", n=32, n_out=32)
+        p.write_text("[image]\nn = 32\n")
+        assert load_config(p) == ExperimentConfig(name="bare", image_n=32)
+
+    def test_every_key(self, tmp_path):
+        p = tmp_path / "every.cfg"
+        p.write_text(EVERY_KEY)
+        cfg = load_config(p)
+        assert cfg == ExperimentConfig(
+            name="every", input="strip", correction="varsolve", outdir="elsewhere",
+            n=64, n_out=64, variant="standard", angle_step=math.pi / 45, a=math.pi / 30,
+            noise=0.02, seed=11, filter="shepp-logan-filter", compensate=True,
+            image_n=48, strip_width=7, amplitude=2.5, dx1=0.5, dx2=0.25,
+            flow=FlowParams(axis=Axis.X2, k=2, p=1, q=1, beta=1e-4, eps=0.01, cfl=0.9),
+            t_end=2e-3,
+            energy=EnergyParams(axis=Axis.X2, k=2, p=1, q=1, alpha=0.5, eps=0.01, beta=1e-5),
+            m_max=20, M=7, korder=2,
+        )
+        # the file above leaves no setting at its default, so a key the loader
+        # or the echo dropped would show here
+        default = ExperimentConfig()
+        for got, base in ((cfg, default), (cfg.flow, default.flow), (cfg.energy, default.energy)):
+            for f in dataclasses.fields(got):
+                assert getattr(got, f.name) != getattr(base, f.name), f.name
+        _echo_config(cfg, str(tmp_path))
+        echo = load_config(tmp_path / "config.echo.cfg")
+        assert dataclasses.replace(echo, outdir=cfg.outdir) == cfg
+
+    def test_readme_table_lists_the_schema(self):
+        # README's "Config files" table: one row per key, in file order
+        with open(os.path.join(CONFIG_DIR, "..", "README.md")) as fh:
+            text = fh.read().split("### Config files", 1)[1].split("\n#", 1)[0]
+        rows, section = [], None
+        for line in text.splitlines():
+            cells = [c.strip().strip("`") for c in line.split("|")[1:-1]]
+            if len(cells) == 4 and cells[1] not in ("key", "---"):
+                section = cells[0].strip("[]") or section
+                rows.append((section, cells[1], cells[2]))
+        assert rows == [(section, key, f"{owner}.{attr}" if owner else attr)
+                        for section, keys in _SCHEMA.items()
+                        for key, (owner, attr, _, _) in keys.items()]
 
     def test_non_finite_solver_setting(self, tmp_path):
         # was accepted, then failed inside scipy with "array must not contain infs or NaNs"
@@ -83,6 +187,65 @@ class TestLoadConfig:
         _echo_config(cfg, str(tmp_path))
         echo = load_config(tmp_path / "config.echo.cfg")
         assert dataclasses.replace(echo, outdir=cfg.outdir) == cfg
+
+    @pytest.mark.parametrize("name", SHIPPED)
+    def test_echo_of_the_echo_is_byte_equal(self, tmp_path, name):
+        _echo_config(load_config(os.path.join(CONFIG_DIR, f"{name}.cfg")), str(tmp_path))
+        first = (tmp_path / "config.echo.cfg").read_bytes()
+        again = tmp_path / "again"
+        again.mkdir()
+        _echo_config(load_config(tmp_path / "config.echo.cfg"), str(again))
+        assert (again / "config.echo.cfg").read_bytes() == first
+
+
+EVERY_KEY = """\
+[experiment]
+name = every
+input = strip
+correction = varsolve
+outdir = elsewhere
+
+[tomo]
+n = 64
+variant = standard
+angle_step = pi/45
+a = pi/30
+noise = 0.02
+seed = 11
+filter = shepp-logan-filter
+compensate = yes
+
+[image]
+n = 48
+strip_width = 7
+amplitude = 2.5
+dx1 = 0.5
+dx2 = 0.25
+
+[flow]
+axis = X2
+k = 2
+p = 1
+q = 1
+beta = 1e-4
+eps = 0.01
+cfl = 0.9
+t_end = 2e-3
+
+[varsolve]
+axis = offset
+k = 2
+p = 1
+q = 1
+alpha = 0.5
+eps = 0.01
+beta = 1e-5
+m_max = 20
+
+[discrete]
+M = 7
+korder = 2
+"""
 
 
 def small_tomo_cfg(tmp_path, correction="none", extra=""):
@@ -143,7 +306,7 @@ class TestRunExperiment:
             "correction = flow\n"
             f"outdir = {tmp_path / 'out'}\n"
             "[image]\n"
-            "image_n = 32\n"
+            "n = 32\n"
             "strip_width = 5\n"
             "amplitude = 255\n"
             "dx1 = 0.1\n"

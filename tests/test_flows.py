@@ -49,12 +49,9 @@ class TestFlowParams:
         for bad, msg in ((dict(eps=math.nan), "eps must be finite, got nan"),
                          (dict(eps=math.inf), "eps must be finite, got inf"),
                          (dict(p=1, beta=math.nan), "beta must be finite, got nan"),
-                         (dict(p=1, beta=math.inf), "beta must be finite, got inf"),
-                         (dict(dt_max=math.nan), "dt_max must be positive, got nan"),
-                         (dict(dt_max=0.0), "dt_max must be positive, got 0.0")):
+                         (dict(p=1, beta=math.inf), "beta must be finite, got inf")):
             with pytest.raises(FlowError, match=f"^{re.escape(msg)}$"):
                 FlowParams(axis=Axis.X1, **bad)
-        assert FlowParams(axis=Axis.X1).dt_max == math.inf
 
 
 class TestFlowRhs:
@@ -337,8 +334,7 @@ def _ref_stable_dt(u, params):
         b2 = params.beta**2
         coeff = mob * b2 / (g * g + b2) ** 1.5
     cmax = max(float(np.max(coeff)), max(params.eps, DT_FLOOR))
-    dt = params.cfl * dx ** (2 * params.k) / (2 ** (2 * params.k) * cmax)
-    return float(min(dt, params.dt_max))
+    return float(params.cfl * dx ** (2 * params.k) / (2 ** (2 * params.k) * cmax))
 
 
 def _ref_evolve(u0, params, t_end, dt_override=None, stop_residual=None,
