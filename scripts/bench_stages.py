@@ -81,6 +81,7 @@ from dispflow import (  # noqa: E402
 )
 from dispflow.experiment import _interface_image, _strip_image, load_config  # noqa: E402
 from dispflow.grid import distinct_columns  # noqa: E402
+from dispflow.tomo import angle_grid  # noqa: E402
 
 N, N_ANGLES, SEED, A = 128, 90, 7, math.pi / 18
 LARGE_N, LARGE_ANGLES = 256, 180
@@ -112,8 +113,9 @@ sys.path.insert(0, sys.argv[1])
 import numpy as np
 from dispflow import (Axis, EnergyParams, convex_step, radon_perturbed,
                       sample_uniform_displacement, shepp_logan)
+from dispflow.tomo import angle_grid
 n, n_angles, seed, a = int(sys.argv[2]), int(sys.argv[3]), int(sys.argv[4]), float(sys.argv[5])
-angles = np.arange(n_angles) * math.pi / n_angles
+angles = angle_grid(math.pi / n_angles)
 pert = sample_uniform_displacement(angles, a, seed)
 v = radon_perturbed(shepp_logan(n), angles, None, pert, 0.0, seed).field
 params = EnergyParams(axis=Axis.X1, k=1, p=2, q=2, alpha=1e-3, eps=1e-3 * float(np.ptp(v.values)) ** 2)
@@ -153,7 +155,7 @@ def main(argv=None) -> int:
 
     def tomo_stages(n, n_angles, suffix=""):
         ph = shepp_logan(n)
-        angles = np.arange(n_angles) * math.pi / n_angles
+        angles = angle_grid(math.pi / n_angles)
         pert = sample_uniform_displacement(angles, A, SEED)
         sino = radon_perturbed(ph, angles, None, pert, 0.0, SEED)
         return sino, {
@@ -163,7 +165,7 @@ def main(argv=None) -> int:
 
     sino, stages = tomo_stages(N, N_ANGLES)
     v = sino.field
-    angles = np.arange(N_ANGLES) * math.pi / N_ANGLES
+    angles = angle_grid(math.pi / N_ANGLES)
     pert, sigma = sample_uniform_displacement(angles, A, SEED), 0.01 * float(np.abs(v.values).max())
     noisy = radon_perturbed(shepp_logan(N), angles, None, pert, sigma, SEED).field
     fig5 = load_config(os.path.join(ROOT, "configs", "fig5.cfg"))

@@ -12,8 +12,6 @@ Usage: python scripts/calibrate_correction.py [a_expr] [seed]
 import math
 import sys
 
-import numpy as np
-
 from dispflow import (
     FlowParams,
     Sinogram,
@@ -26,13 +24,14 @@ from dispflow import (
 )
 from dispflow.experiment import parse_angle
 from dispflow.grid import Axis
+from dispflow.tomo import angle_grid
 
 
 def main(argv):
     a = parse_angle(argv[1]) if len(argv) > 1 else math.pi / 18
     seed = int(argv[2]) if len(argv) > 2 else 7
     n = 128
-    angles = np.arange(90) * math.pi / 90
+    angles = angle_grid(math.pi / 90)
     ph = shepp_logan(n)
     pert = sample_uniform_displacement(angles, a, seed)
     sino = radon_perturbed(ph, angles, None, pert)

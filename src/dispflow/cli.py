@@ -1,9 +1,10 @@
 """Command-line interface: one thin verb per module operation.
 
 Angles accept pi expressions (``--angle-step pi/90``).  Fields travel as
-.pgm (16-bit quantized) or .csv (lossless); sinogram files carry the
-angle step as their first spacing, so downstream verbs can rebuild the
-angle grid without a sidecar file.
+.pgm (16-bit quantized) or .csv (lossless).  Sinogram files carry their
+angle step (see ``tomo.angle_grid``) as their first spacing, so ``fbp`` needs
+no sidecar file: without ``--angle-step`` it takes that spacing if round(pi /
+spacing) is the file's row count, else pi / n_rows (a headerless CSV, say).
 """
 
 from __future__ import annotations
@@ -20,19 +21,19 @@ from .fileio import read_image, write_image
 from .flows import FlowParams, evolve
 from .grid import ScalarField
 from .metrics import metrics
-from .tomo import Sinogram, fbp, radon, shepp_logan
+from .tomo import Sinogram, TomoError, angle_grid, default_offsets, fbp, radon, shepp_logan
 from .varsolve import EnergyParams, iterate
 
 
-def _angles_for(field: ScalarField, angle_step: float | None) -> np.ndarray:
-    step = angle_step if angle_step else math.pi / field.n1
-    return np.arange(field.n1) * step
-
-
 def _as_sinogram(field: ScalarField, angle_step: float | None) -> Sinogram:
-    angles = _angles_for(field, angle_step)
-    offsets = np.linspace(-math.sqrt(2), math.sqrt(2), field.n2)
-    return Sinogram(field, angles, offsets)
+    """The file's rows angle_step apart; None: the module docstring's rule."""
+    if angle_step is None:
+        try:  # a spacing giving more rows than the file is not expanded
+            fits = field.dx1 * (field.n1 + 1) > math.pi and angle_grid(field.dx1).size == field.n1
+        except TomoError:  # a spacing giving fewer than two rows
+            fits = False
+        angle_step = field.dx1 if fits else math.pi / field.n1
+    return Sinogram(field, np.arange(field.n1) * angle_step, default_offsets(field.n1, field.n2))
 
 
 def _add_flow_args(sp):
@@ -102,7 +103,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--n-out", type=int, default=128)
     sp.add_argument("--filter", default="ram-lak")
     sp.add_argument("--angle-step", default=None,
-                    help="angle step of the sinogram rows (default pi/n_rows)")
+                    help="angle step of the sinogram rows (default: the file's first "
+                         "spacing if round(pi / spacing) is its row count, else pi/n_rows)")
     sp.add_argument("--compensate", default=None,
                     help="add this constant to every backprojection angle")
     sp.add_argument("--out", required=True)
@@ -132,14 +134,11 @@ def _dispatch(args) -> int:
 
     elif args.verb == "sinogram":
         img = read_image(args.infile) if args.infile else shepp_logan(args.n, args.variant)
-        step = parse_angle(args.angle_step)
-        angles = np.arange(round(math.pi / step)) * step
-        write_image(args.out, radon(img, angles).field)
+        write_image(args.out, radon(img, angle_grid(parse_angle(args.angle_step))).field)
 
     elif args.verb == "perturb":
-        step = parse_angle(args.angle_step)
+        angles = angle_grid(parse_angle(args.angle_step))
         a = parse_angle(args.a)
-        angles = np.arange(round(math.pi / step)) * step
         sino, _ = jittered_sinogram(shepp_logan(args.n, args.variant), angles, a, args.noise, args.seed)
         write_image(args.out, sino.field)
 
@@ -171,7 +170,7 @@ def _dispatch(args) -> int:
 
     elif args.verb == "fbp":
         field = read_image(args.infile)
-        step = parse_angle(args.angle_step) if args.angle_step else None
+        step = None if args.angle_step is None else parse_angle(args.angle_step)
         sino = _as_sinogram(field, step)
         bp = None
         if args.compensate is not None:

@@ -30,6 +30,7 @@ from .tomo import (
     AngularPerturbation,
     Sinogram,
     TomoError,
+    angle_grid,
     fbp,
     radon,
     radon_perturbed,
@@ -127,10 +128,10 @@ class ExperimentConfig:
             # a NaN or inf here would otherwise run the clean pipeline or fail mid-run
             if not 0 <= getattr(self, key) < math.inf:
                 raise ConfigError(f"{key} must be non-negative and finite, got {getattr(self, key)}")
-        if not (0 < self.angle_step < math.inf and round(math.pi / self.angle_step) >= 2):
-            raise ConfigError(
-                f"angle_step must give at least two angles in [0, pi), got {self.angle_step}"
-            )
+        try:
+            angle_grid(self.angle_step)
+        except TomoError as exc:
+            raise ConfigError(str(exc)) from None
 
 
 def _axis(text: str) -> Axis:
@@ -294,7 +295,7 @@ def jittered_sinogram(
 def _run_tomo_experiment(cfg: ExperimentConfig, outdir: str) -> MetricReport:
     ph = shepp_logan(cfg.n, cfg.variant)
     write_image(os.path.join(outdir, "phantom.pgm"), ph)
-    angles = np.arange(round(math.pi / cfg.angle_step)) * cfg.angle_step
+    angles = angle_grid(cfg.angle_step)
     if cfg.a > 0 or cfg.noise > 0:
         sino, pert = jittered_sinogram(ph, angles, cfg.a, cfg.noise, cfg.seed)
         with open(os.path.join(outdir, "displacement.csv"), "w") as fh:

@@ -20,8 +20,8 @@ class TomoError(ValueError):
     pass
 
 
-# Shepp-Logan ellipse table: (intensity, a, b, x0, y0, phi_degrees); the
-# high-contrast variant uses the same geometry with rescaled intensities.
+# Shepp-Logan ellipse geometry (a, b, x0, y0, phi_degrees) and each
+# variant's intensities; the high-contrast variant rescales the standard ones.
 _SL_GEOMETRY = [
     (0.69, 0.92, 0.0, 0.0, 0.0),
     (0.6624, 0.874, 0.0, -0.0184, 0.0),
@@ -40,43 +40,37 @@ _SL_INTENSITY = {
 }
 
 
-@dataclass(frozen=True)
-class Phantom:
-    """Additive superposition of ellipses (intensity, a, b, x0, y0, phi_deg)."""
-
-    ellipses: tuple
-
-    def rasterize(self, n: int) -> ScalarField:
-        if n < 16:
-            raise TomoError("phantom size must be at least 16")
-        c = (np.arange(n) + 0.5) * (2.0 / n) - 1.0
-        X, Y = np.meshgrid(c, c, indexing="ij")
-        img = np.zeros((n, n))
-        for rho, a, b, x0, y0, phi in self.ellipses:
-            t = math.radians(phi)
-            xr = (X - x0) * math.cos(t) + (Y - y0) * math.sin(t)
-            yr = -(X - x0) * math.sin(t) + (Y - y0) * math.cos(t)
-            img[(xr / a) ** 2 + (yr / b) ** 2 <= 1.0] += rho
-        return ScalarField(img, 2.0 / n, 2.0 / n)
-
-
-def shepp_logan_phantom(variant: str = "high-contrast") -> Phantom:
-    if variant not in _SL_INTENSITY:
-        raise TomoError(f"unknown phantom variant {variant!r}")
-    rho = _SL_INTENSITY[variant]
-    return Phantom(tuple((r, *geo) for r, geo in zip(rho, _SL_GEOMETRY)))
-
-
 def shepp_logan(n: int, variant: str = "high-contrast") -> ScalarField:
     """n x n rasterization of the ten-ellipse Shepp-Logan phantom."""
-    return shepp_logan_phantom(variant).rasterize(n)
+    if variant not in _SL_INTENSITY:
+        raise TomoError(f"unknown phantom variant {variant!r}")
+    if n < 16:
+        raise TomoError("phantom size must be at least 16")
+    c = (np.arange(n) + 0.5) * (2.0 / n) - 1.0
+    X, Y = np.meshgrid(c, c, indexing="ij")
+    img = np.zeros((n, n))
+    for rho, (a, b, x0, y0, phi) in zip(_SL_INTENSITY[variant], _SL_GEOMETRY):
+        t = math.radians(phi)
+        xr = (X - x0) * math.cos(t) + (Y - y0) * math.sin(t)
+        yr = -(X - x0) * math.sin(t) + (Y - y0) * math.cos(t)
+        img[(xr / a) ** 2 + (yr / b) ** 2 <= 1.0] += rho
+    return ScalarField(img, 2.0 / n, 2.0 / n)
+
+
+def angle_grid(step: float) -> np.ndarray:
+    """Sinogram angles j * step for j < round(pi / step); a TomoError if that
+    gives fewer than two angles or pi / step overflows."""
+    count = math.pi / step if step else 0.0  # NaN stays NaN
+    if not (count < math.inf and round(count) >= 2):
+        raise TomoError(f"angle_step must give at least two angles in [0, pi), got {step}")
+    return np.arange(round(count)) * step
 
 
 @dataclass(frozen=True)
 class Sinogram:
     field: ScalarField          # values[j, i]: angle j, offset i
     angles: np.ndarray          # radians, strictly increasing, in [0, pi)
-    offsets: np.ndarray         # signed offsets, evenly spaced
+    offsets: np.ndarray         # signed offsets, strictly increasing, evenly spaced
 
     def __post_init__(self):
         angles = np.asarray(self.angles, dtype=float)
@@ -87,7 +81,9 @@ class Sinogram:
             raise TomoError("offset count does not match sinogram columns")
         if np.any(np.diff(angles) <= 0):
             raise TomoError("angles must be strictly increasing")
-        if np.any(angles < 0) or np.any(angles >= np.pi):
+        if not (np.isfinite(offsets).all() and np.all(np.diff(offsets) > 0)):
+            raise TomoError("offsets must be finite and strictly increasing")
+        if not np.all((angles >= 0) & (angles < np.pi)):  # NaN too
             raise TomoError("angles must lie in [0, pi)")
         object.__setattr__(self, "angles", angles)
         object.__setattr__(self, "offsets", offsets)

@@ -25,6 +25,7 @@ from dispflow.metrics import interface_variance, metrics, strip_fwhm
 from dispflow.tomo import (
     AngularPerturbation,
     Sinogram,
+    angle_grid,
     fbp,
     radon,
     radon_perturbed,
@@ -45,7 +46,7 @@ def report(num: int, ok: bool, detail: str):
 
 def tomo_setup():
     """128 x 128 phantom and 90 evenly spaced angles in [0, pi)."""
-    return shepp_logan(128, "high-contrast"), np.arange(90) * (math.pi / 90)
+    return shepp_logan(128, "high-contrast"), angle_grid(math.pi / 90)
 
 
 def perturbed_sinogram(ph, angles, a, seed=7, noise_sigma=0.0):
@@ -169,7 +170,7 @@ def test_criterion_5_tomography_round_trip():
     ph = shepp_logan(128, "high-contrast")
     err = {}
     for n_angles in (90, 180):
-        angles = np.arange(n_angles) * (math.pi / n_angles)
+        angles = angle_grid(math.pi / n_angles)
         err[n_angles] = metrics(fbp(radon(ph, angles), 128), ph).rel_l2
     # golden: 0.2325 (90 angles) and 0.2245 (180 angles) at first oracle run
     ok = err[90] <= 0.25 and err[180] < err[90]
@@ -303,7 +304,7 @@ def test_criterion_9_radon_chord_length_oracle():
     disk = ScalarField(
         fine.reshape(n, ss, n, ss).mean(axis=(1, 3)), 2.0 / n, 2.0 / n
     )
-    angles = np.arange(90) * (math.pi / 90)
+    angles = angle_grid(math.pi / 90)
     sino = radon(disk, angles)
     l = sino.offsets
     # tangent rays see an O(sqrt(h)) geometric error, so the 1%-of-diameter

@@ -52,6 +52,18 @@ class TestSinogramVerbs:
         assert not np.array_equal(read_csv(clean).values, read_csv(pert).values)
 
 
+    @pytest.mark.parametrize("verb", ["sinogram", "perturb"])
+    @pytest.mark.parametrize("step", ["0", "nan", "inf", "-0.1", "4", "5e-324"])
+    def test_angle_step_without_two_angles_is_one_line(self, tmp_path, capsys, verb, step):
+        # 4 wrote a one-row sinogram; the others failed with unrelated messages
+        out = tmp_path / "s.csv"
+        assert run(verb, "--n=16", f"--angle-step={step}", f"--out={out}") == 1
+        assert capsys.readouterr().err == (
+            "dispflow: error: angle_step must give at least two angles in [0, pi), "
+            f"got {float(step)}\n"
+        )
+        assert not out.exists()
+
     @pytest.mark.parametrize("arg", ["--noise=-0.5", "--a=-0.1"])
     def test_perturb_negative_setting_fails(self, tmp_path, capsys, arg):
         out = tmp_path / "p.csv"
@@ -184,6 +196,44 @@ class TestFBPAndMetrics:
         out = tmp_path / "r.csv"
         assert run("fbp", f"--in={sino}", "--n-out=16", f"--compensate={bad}", f"--out={out}") == 1
         assert capsys.readouterr().err == "dispflow: error: backproject_angles must be finite\n"
+        assert not out.exists()
+
+    def test_fbp_default_step_is_the_file_spacing(self, tmp_path):
+        # a sinogram at step 0.1 has 31 rows; pi/31 was used in its place
+        sino = tmp_path / "s.csv"
+        run("sinogram", "--n=16", "--angle-step=0.1", f"--out={sino}")
+        auto, given = tmp_path / "auto.csv", tmp_path / "given.csv"
+        assert run("fbp", f"--in={sino}", "--n-out=16", f"--out={auto}") == 0
+        assert run("fbp", f"--in={sino}", "--n-out=16", "--angle-step=0.1", f"--out={given}") == 0
+        assert auto.read_bytes() == given.read_bytes()
+
+    @pytest.mark.parametrize("header", ["", "# dispflow spacing 1e-300 0.1\n",
+                                        "# dispflow spacing 3.0 0.1\n"])
+    def test_fbp_default_step_otherwise_is_pi_over_rows(self, tmp_path, header):
+        # no spacing (a headerless CSV), one giving far more rows than the file
+        # (its grid is never built) and one giving fewer than two rows
+        sino = tmp_path / "s.csv"
+        run("sinogram", "--n=16", "--angle-step=0.1", f"--out={sino}")
+        bare = tmp_path / "bare.csv"
+        bare.write_text(header + sino.read_text().split("\n", 1)[1])
+        auto, given = tmp_path / "auto.csv", tmp_path / "given.csv"
+        assert run("fbp", f"--in={bare}", "--n-out=16", f"--out={auto}") == 0
+        assert run("fbp", f"--in={bare}", "--n-out=16", "--angle-step=pi/31", f"--out={given}") == 0
+        assert auto.read_bytes() == given.read_bytes()
+
+    @pytest.mark.parametrize("step,msg", [
+        ("0", "angles must be strictly increasing"),  # was read as no step
+        ("-0.1", "angles must be strictly increasing"),
+        ("nan", "angles must lie in [0, pi)"),  # was "backproject_angles must be finite"
+        ("1", "angles must lie in [0, pi)"),
+    ])
+    def test_fbp_bad_angle_step_is_one_line(self, tmp_path, capsys, step, msg):
+        sino = tmp_path / "s.csv"
+        run("sinogram", "--n=16", "--angle-step=pi/8", f"--out={sino}")
+        capsys.readouterr()
+        out = tmp_path / "r.csv"
+        assert run("fbp", f"--in={sino}", "--n-out=16", f"--angle-step={step}", f"--out={out}") == 1
+        assert capsys.readouterr().err == f"dispflow: error: {msg}\n"
         assert not out.exists()
 
     def test_metrics_output(self, tmp_path, capsys):

@@ -75,10 +75,11 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="must be non-negative"):
             ExperimentConfig(a=float(a), noise=float(noise))
 
-    @pytest.mark.parametrize("step", ["0", "nan", "-0.1", "4", "inf"])
+    @pytest.mark.parametrize("step", ["0", "nan", "-0.1", "4", "inf", "5e-324"])
     def test_angle_step_without_two_angles(self, tmp_path, step):
         # each failed only inside the run (ZeroDivisionError, NaN to int, or in
-        # radon / fbp), after config.echo.cfg and phantom.pgm were written
+        # radon / fbp), after config.echo.cfg and phantom.pgm were written;
+        # 5e-324 (pi / step overflows) raised OverflowError from the check
         msg = f"angle_step must give at least two angles in [0, pi), got {float(step)}"
         p = tmp_path / "step.cfg"
         p.write_text(f"[tomo]\nangle_step = {step}\n")

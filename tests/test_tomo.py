@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from dispflow.tomo import (
     _project,
     _ray_spans,
     _support_box,
+    angle_grid,
     default_offsets,
     fbp,
     radon,
@@ -55,6 +57,27 @@ class TestPhantom:
     def test_deterministic(self):
         assert np.array_equal(shepp_logan(32).values, shepp_logan(32).values)
 
+    def test_checks_variant_then_size(self):
+        with pytest.raises(TomoError, match=r"^unknown phantom variant 'nope'$"):
+            shepp_logan(8, "nope")
+        with pytest.raises(TomoError, match=r"^phantom size must be at least 16$"):
+            shepp_logan(8)
+
+
+class TestAngleGrid:
+    @pytest.mark.parametrize("step", [math.pi / 90, math.pi / 45, 0.1, 2.0])
+    def test_matches_the_rule_bitwise(self, step):
+        grid = angle_grid(step)
+        ref = np.arange(round(math.pi / step)) * step
+        assert grid.dtype == ref.dtype and grid.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("step", [0.0, math.nan, math.inf, -0.1, 4.0, 5e-324])
+    def test_fewer_than_two_angles_rejected(self, step):
+        # 5e-324: pi / step overflows to inf
+        msg = f"angle_step must give at least two angles in [0, pi), got {step}"
+        with pytest.raises(TomoError, match=f"^{re.escape(msg)}$"):
+            angle_grid(step)
+
 
 class TestSinogramType:
     def test_angle_validation(self):
@@ -66,6 +89,22 @@ class TestSinogramType:
             Sinogram(field, good[::-1].copy(), offs)
         with pytest.raises(TomoError):
             Sinogram(field, good + 2.0, offs)  # beyond pi
+
+    # each was accepted and failed later: in fbp as "backproject_angles must be
+    # finite", "field contains non-finite values" or a ZeroDivisionError
+    @pytest.mark.parametrize("which,index,bad,msg", [
+        ("angles", 2, math.nan, "angles must lie in [0, pi)"),
+        ("offsets", 4, math.nan, "offsets must be finite and strictly increasing"),
+        ("offsets", 7, math.inf, "offsets must be finite and strictly increasing"),
+        ("offsets", slice(None), 0.5, "offsets must be finite and strictly increasing"),
+        ("offsets", slice(None, None, -1), np.linspace(-1, 1, 8),
+         "offsets must be finite and strictly increasing"),
+    ])
+    def test_geometry_fbp_cannot_use_rejected(self, which, index, bad, msg):
+        geometry = {"angles": np.array([0.0, 0.5, 1.0, 2.0]), "offsets": np.linspace(-1, 1, 8)}
+        geometry[which][index] = bad
+        with pytest.raises(TomoError, match=f"^{re.escape(msg)}$"):
+            Sinogram(ScalarField(np.zeros((4, 8))), **geometry)
 
 
 class TestRadon:
