@@ -1,10 +1,17 @@
 """Command-line interface: one thin verb per module operation.
 
+Setting flags are the config keys of ``[tomo]`` or of a correction verb's
+stage, parsed, defaulted and checked by ``experiment.parse_config`` (README,
+"Command line"); correction verbs run ``experiment.correct_field``.
+``perturb --a`` defaults to pi/18; ``fbp --angle-step`` and ``--compensate``
+are not config keys.
+
 Angles accept pi expressions (``--angle-step pi/90``).  Fields travel as
 .pgm (16-bit quantized) or .csv (lossless).  Sinogram files carry their
 angle step (see ``tomo.angle_grid``) as their first spacing, so ``fbp`` needs
 no sidecar file: without ``--angle-step`` it takes that spacing if round(pi /
 spacing) is the file's row count, else pi / n_rows (a headerless CSV, say).
+A given ``--angle-step`` must give the file's row count.
 """
 
 from __future__ import annotations
@@ -15,178 +22,156 @@ import sys
 
 import numpy as np
 
-from .discrete import block_assign_columns, jitter_correct_rows
-from .experiment import _axis, _write_residuals, jittered_sinogram, load_config, parse_angle, run_experiment
+from .experiment import correct_field, jittered_sinogram, load_config, parse_angle, parse_config, run_experiment
 from .fileio import read_image, write_image
-from .flows import FlowParams, evolve
 from .grid import ScalarField
 from .metrics import metrics
-from .tomo import Sinogram, TomoError, angle_grid, default_offsets, fbp, radon, shepp_logan
-from .varsolve import EnergyParams, iterate
+from .tomo import Sinogram, TomoError, angle_count, angle_grid, default_offsets, fbp, shepp_logan
 
 
 def _as_sinogram(field: ScalarField, angle_step: float | None) -> Sinogram:
     """The file's rows angle_step apart; None: the module docstring's rule."""
     if angle_step is None:
-        try:  # a spacing giving more rows than the file is not expanded
-            fits = field.dx1 * (field.n1 + 1) > math.pi and angle_grid(field.dx1).size == field.n1
-        except TomoError:  # a spacing giving fewer than two rows
+        try:
+            fits = angle_count(field.dx1) == field.n1
+        except TomoError:  # a spacing giving fewer than two rows, or too many to count
             fits = False
         angle_step = field.dx1 if fits else math.pi / field.n1
     return Sinogram(field, np.arange(field.n1) * angle_step, default_offsets(field.n1, field.n2))
 
 
 def _add_flow_args(sp):
-    sp.add_argument("--axis", default="X1")
-    sp.add_argument("--k", type=int, default=1)
-    sp.add_argument("--p", type=int, default=2)
-    sp.add_argument("--q", type=int, default=2)
-    sp.add_argument("--beta", type=float, default=1e-6)
+    for flag in ("--axis", "--k", "--p", "--q", "--beta"):
+        sp.add_argument(flag)
 
 
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="dispflow")
     sub = ap.add_subparsers(dest="verb", required=True)
 
-    sp = sub.add_parser("phantom", help="write a Shepp-Logan phantom image")
-    sp.add_argument("--n", type=int, default=128)
-    sp.add_argument("--variant", default="high-contrast")
+    def verb(name, helptext):
+        # an absent flag is left out of the namespace: a setting takes the schema's default
+        return sub.add_parser(name, help=helptext, argument_default=argparse.SUPPRESS)
+
+    sp = verb("phantom", "write a Shepp-Logan phantom image")
+    sp.add_argument("--n")
+    sp.add_argument("--variant")
     sp.add_argument("--out", required=True)
 
-    sp = sub.add_parser("sinogram", help="Radon transform of an image")
+    sp = verb("sinogram", "Radon transform of an image")
     sp.add_argument("--in", dest="infile")
-    sp.add_argument("--n", type=int, default=128, help="phantom size if no --in")
-    sp.add_argument("--variant", default="high-contrast")
-    sp.add_argument("--angle-step", default="pi/90")
+    sp.add_argument("--n", help="phantom size if no --in")
+    sp.add_argument("--variant")
+    sp.add_argument("--angle-step")
     sp.add_argument("--out", required=True)
 
-    sp = sub.add_parser("perturb", help="Radon transform with angular jitter")
-    sp.add_argument("--n", type=int, default=128)
-    sp.add_argument("--variant", default="high-contrast")
-    sp.add_argument("--angle-step", default="pi/90")
+    sp = verb("perturb", "Radon transform with angular jitter")
+    sp.add_argument("--n")
+    sp.add_argument("--variant")
+    sp.add_argument("--angle-step")
     sp.add_argument("--a", default="pi/18", help="displacement bound")
-    sp.add_argument("--noise", type=float, default=0.0,
-                    help="Gaussian sigma as fraction of sinogram max")
-    sp.add_argument("--seed", type=int, default=7)
+    sp.add_argument("--noise", help="Gaussian sigma as fraction of sinogram max")
+    sp.add_argument("--seed")
     sp.add_argument("--out", required=True)
 
-    sp = sub.add_parser("flow", help="evolve a field under a nonlinear flow")
+    sp = verb("flow", "evolve a field under a nonlinear flow")
     sp.add_argument("--in", dest="infile", required=True)
     _add_flow_args(sp)
-    sp.add_argument("--cfl", type=float, default=0.5)
-    sp.add_argument("--t-end", type=float, required=True)
+    sp.add_argument("--cfl")
+    sp.add_argument("--t-end", required=True)
     sp.add_argument("--out", required=True)
-    sp.add_argument("--residuals", help="optional CSV of per-step ||rhs||_inf")
+    sp.add_argument("--residuals", dest="diagnostic", metavar="RESIDUALS",
+                    help="optional CSV of per-step ||rhs||_inf")
 
-    sp = sub.add_parser("varsolve", help="lagged convex iteration on a field")
+    sp = verb("varsolve", "lagged convex iteration on a field")
     sp.add_argument("--in", dest="infile", required=True)
     _add_flow_args(sp)
-    sp.add_argument("--alpha", type=float, default=1.0)
-    sp.add_argument("--eps", type=float, default=1e-3)
-    sp.add_argument("--m", type=int, default=50)
+    sp.add_argument("--alpha")
+    sp.add_argument("--eps")
+    sp.add_argument("--m", dest="m_max", metavar="M")
     sp.add_argument("--out", required=True)
-    sp.add_argument("--trace", help="optional CSV of the iteration trace")
+    sp.add_argument("--trace", dest="diagnostic", metavar="TRACE",
+                    help="optional CSV of the iteration trace")
 
-    for verb, helptext in (
+    for name, helptext in (
         ("jitter", "correct integer row jitter by exhaustive search"),
         ("assign", "reorder columns by greedy block assignment"),
     ):
-        sp = sub.add_parser(verb, help=helptext)
+        sp = verb(name, helptext)
         sp.add_argument("--in", dest="infile", required=True)
-        sp.add_argument("--M", type=int, default=5)
-        sp.add_argument("--korder", type=int, default=1)
+        sp.add_argument("--M", dest="m")
+        sp.add_argument("--korder")
         sp.add_argument("--out", required=True)
-        sp.add_argument("--shifts", help="optional CSV of recovered shifts")
+        sp.add_argument("--shifts", dest="diagnostic", metavar="SHIFTS",
+                        help="optional CSV of recovered shifts")
 
-    sp = sub.add_parser("fbp", help="filtered backprojection of a sinogram")
+    sp = verb("fbp", "filtered backprojection of a sinogram")
     sp.add_argument("--in", dest="infile", required=True)
-    sp.add_argument("--n-out", type=int, default=128)
-    sp.add_argument("--filter", default="ram-lak")
-    sp.add_argument("--angle-step", default=None,
+    sp.add_argument("--n-out")
+    sp.add_argument("--filter")
+    sp.add_argument("--angle-step", dest="row_step", metavar="ANGLE_STEP",
                     help="angle step of the sinogram rows (default: the file's first "
                          "spacing if round(pi / spacing) is its row count, else pi/n_rows)")
-    sp.add_argument("--compensate", default=None,
+    sp.add_argument("--compensate", dest="bp_shift", metavar="COMPENSATE",
                     help="add this constant to every backprojection angle")
     sp.add_argument("--out", required=True)
 
-    sp = sub.add_parser("metrics", help="compare two fields")
+    sp = verb("metrics", "compare two fields")
     sp.add_argument("--a", required=True, help="field under test")
     sp.add_argument("--b", required=True, help="reference field")
 
-    sp = sub.add_parser("experiment", help="run a named experiment config")
+    sp = verb("experiment", "run a named experiment config")
     sp.add_argument("--config", required=True)
-    sp.add_argument("--outdir", default=None)
+    sp.add_argument("--outdir")
     return ap
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    kw = vars(build_parser().parse_args(argv))
     try:
-        return _dispatch(args)
+        return _dispatch(kw.pop("verb"), kw)
     except Exception as exc:  # surface module errors as exit diagnostics
         print(f"dispflow: error: {exc}", file=sys.stderr)
         return 1
 
 
-def _dispatch(args) -> int:
-    if args.verb == "phantom":
-        write_image(args.out, shepp_logan(args.n, args.variant))
+def _dispatch(verb: str, kw: dict) -> int:
+    """Run verb on its flags kw; what is left once the file flags are popped
+    is the verb's settings."""
+    if verb in ("metrics", "experiment"):
+        if verb == "metrics":
+            report = metrics(read_image(kw["a"]), read_image(kw["b"]))
+        else:
+            report = run_experiment(load_config(kw["config"]), kw.get("outdir"))
+        for line in report.lines():
+            print(line)
+        return 0
 
-    elif args.verb == "sinogram":
-        img = read_image(args.infile) if args.infile else shepp_logan(args.n, args.variant)
-        write_image(args.out, radon(img, angle_grid(parse_angle(args.angle_step))).field)
+    infile, out, diagnostic = kw.pop("infile", None), kw.pop("out"), kw.pop("diagnostic", None)
+    if verb in ("flow", "varsolve", "jitter", "assign"):
+        section = "discrete" if verb in ("jitter", "assign") else verb
+        cfg = parse_config({section: kw}, correction=verb)
+        write_image(out, correct_field(cfg, read_image(infile), diagnostic))
+        return 0
 
-    elif args.verb == "perturb":
-        angles = angle_grid(parse_angle(args.angle_step))
-        a = parse_angle(args.a)
-        sino, _ = jittered_sinogram(shepp_logan(args.n, args.variant), angles, a, args.noise, args.seed)
-        write_image(args.out, sino.field)
+    step, shift = kw.pop("row_step", None), kw.pop("bp_shift", None)
+    cfg = parse_config({"tomo": kw})
+    if verb == "phantom":
+        write_image(out, shepp_logan(cfg.n, cfg.variant))
 
-    elif args.verb == "flow":
-        params = FlowParams(axis=_axis(args.axis), k=args.k, p=args.p,
-                            q=args.q, beta=args.beta, cfl=args.cfl)
-        state = evolve(read_image(args.infile), params, args.t_end)
-        write_image(args.out, state.u)
-        if args.residuals:
-            _write_residuals(args.residuals, state.residuals)
-
-    elif args.verb == "varsolve":
-        params = EnergyParams(axis=_axis(args.axis), k=args.k, p=args.p,
-                              q=args.q, alpha=args.alpha, eps=args.eps,
-                              beta=args.beta)
-        out, trace = iterate(read_image(args.infile), params, m_max=args.m)
-        write_image(args.out, out)
-        if args.trace:
-            with open(args.trace, "w") as fh:
-                fh.write(trace.to_csv())
-
-    elif args.verb in ("jitter", "assign"):
-        fn = jitter_correct_rows if args.verb == "jitter" else block_assign_columns
-        out, shifts = fn(read_image(args.infile), args.M, args.korder)
-        write_image(args.out, out)
-        if args.shifts:
-            with open(args.shifts, "w") as fh:
-                fh.write(shifts.to_csv())
-
-    elif args.verb == "fbp":
-        field = read_image(args.infile)
-        step = None if args.angle_step is None else parse_angle(args.angle_step)
+    elif verb == "fbp":
+        field = read_image(infile)
+        step = None if step is None else parse_angle(step)
         sino = _as_sinogram(field, step)
-        bp = None
-        if args.compensate is not None:
-            bp = sino.angles + parse_angle(args.compensate)
-        write_image(args.out, fbp(sino, args.n_out, args.filter, backproject_angles=bp))
+        if step is not None and (count := angle_count(step)) != field.n1:
+            raise TomoError(f"angle step {step} gives {count} angles, the file has {field.n1} rows")
+        bp = None if shift is None else sino.angles + parse_angle(shift)
+        write_image(out, fbp(sino, cfg.n_out, cfg.filter, backproject_angles=bp))
 
-    elif args.verb == "metrics":
-        report = metrics(read_image(args.a), read_image(args.b))
-        for line in report.lines():
-            print(line)
-
-    elif args.verb == "experiment":
-        cfg = load_config(args.config)
-        report = run_experiment(cfg, args.outdir)
-        for line in report.lines():
-            print(line)
+    else:  # sinogram, perturb: a clean sinogram is the jittered one at a = noise = 0
+        img = read_image(infile) if infile else shepp_logan(cfg.n, cfg.variant)
+        sino, _ = jittered_sinogram(img, angle_grid(cfg.angle_step), cfg.a, cfg.noise, cfg.seed)
+        write_image(out, sino.field)
     return 0
 
 

@@ -7,6 +7,8 @@ for both parsing and echo: each names its section, and its key where that
 differs from the field name; ``[flow]`` and ``[varsolve]`` are the fields of
 ``FlowParams`` and ``EnergyParams`` followed by ``t_end`` and ``m_max``.  An
 unknown section or key, or a value that does not parse, is a ConfigError.
+``parse_config`` parses a config file's sections and the ``dispflow`` verbs'
+flags alike; ``correct_field`` runs the correction stage for both.
 Every run writes a ``config.echo.cfg`` copy (all but ``outdir``) and a
 ``metrics.csv`` next to the field artifacts so a run is reproducible from
 its output directory alone.
@@ -30,6 +32,7 @@ from .tomo import (
     AngularPerturbation,
     Sinogram,
     TomoError,
+    angle_count,
     angle_grid,
     fbp,
     radon,
@@ -129,7 +132,7 @@ class ExperimentConfig:
             if not 0 <= getattr(self, key) < math.inf:
                 raise ConfigError(f"{key} must be non-negative and finite, got {getattr(self, key)}")
         try:
-            angle_grid(self.angle_step)
+            angle_count(self.angle_step)
         except TomoError as exc:
             raise ConfigError(str(exc)) from None
 
@@ -181,11 +184,17 @@ def load_config(path) -> ExperimentConfig:
         raise ConfigError(" ".join(str(exc).split())) from None
     if not read:
         raise ConfigError(f"cannot read config {path!r}")
-    kw = {"name": os.path.splitext(os.path.basename(path))[0]}
-    for section in cp.sections():
+    return parse_config({section: cp[section] for section in cp.sections()},
+                        name=os.path.splitext(os.path.basename(path))[0])
+
+
+def parse_config(sections, **kw) -> ExperimentConfig:
+    """The ExperimentConfig of {section: {key: text}}: each text parsed, and
+    every setting defaulted and checked, by the schema; kw sets fields as is."""
+    for section, items in sections.items():
         if section not in _SCHEMA:
             raise ConfigError(f"unknown section [{section}]")
-        for key, text in cp.items(section):
+        for key, text in items.items():
             if key not in _SCHEMA[section]:
                 raise ConfigError(f"unknown key {key!r} in [{section}]")
             owner, attr, parse, _ = _SCHEMA[section][key]
@@ -214,33 +223,34 @@ def _echo_config(cfg: ExperimentConfig, outdir: str):
         fh.write("\n".join(lines[1:] + [""]))
 
 
-def _write_residuals(path, residuals):
-    with open(path, "w") as fh:
-        fh.write("step,rhs_linf\n")
-        for i, r in enumerate(residuals):
-            fh.write(f"{i},{r!r}\n")
-
-
-def _correct_field(cfg: ExperimentConfig, f: ScalarField, outdir: str) -> ScalarField:
-    """Run the configured correction stage, writing its diagnostics."""
+def correct_field(cfg: ExperimentConfig, f: ScalarField, diagnostic: str | None) -> ScalarField:
+    """f after cfg's correction stage.  The stage's diagnostic CSV (per-step
+    ||rhs||_inf, the iteration trace or the recovered shifts) goes to the
+    path diagnostic, if given."""
     if cfg.correction == "none":
         return f
     if cfg.correction == "flow":
         state = evolve(f, cfg.flow, cfg.t_end)
-        _write_residuals(os.path.join(outdir, "flow_residuals.csv"), state.residuals)
-        return state.u
-    if cfg.correction == "varsolve":
+        out, text = state.u, "step,rhs_linf\n"
+        # one line at a time: a long run has tens of thousands of steps
+        lines = (f"{i},{r!r}\n" for i, r in enumerate(state.residuals))
+    elif cfg.correction == "varsolve":
         out, trace = iterate(f, cfg.energy, m_max=cfg.m_max)
-        with open(os.path.join(outdir, "trace.csv"), "w") as fh:
-            fh.write(trace.to_csv())
-        return out
-    if cfg.correction == "jitter":
-        out, shifts = jitter_correct_rows(f, cfg.M, cfg.korder)
-    else:  # assign
-        out, shifts = block_assign_columns(f, cfg.M, cfg.korder)
-    with open(os.path.join(outdir, "shifts.csv"), "w") as fh:
-        fh.write(shifts.to_csv())
+        text, lines = trace.to_csv(), ()
+    else:
+        fn = jitter_correct_rows if cfg.correction == "jitter" else block_assign_columns
+        out, shifts = fn(f, cfg.M, cfg.korder)
+        text, lines = shifts.to_csv(), ()
+    if diagnostic:
+        with open(diagnostic, "w") as fh:
+            fh.write(text)
+            fh.writelines(lines)
     return out
+
+
+def _diagnostic(cfg: ExperimentConfig, outdir: str) -> str:
+    name = {"flow": "flow_residuals.csv", "varsolve": "trace.csv"}.get(cfg.correction, "shifts.csv")
+    return os.path.join(outdir, name)
 
 
 def _strip_image(cfg: ExperimentConfig) -> ScalarField:
@@ -264,7 +274,7 @@ def _run_image_experiment(cfg: ExperimentConfig, outdir: str) -> MetricReport:
     f0 = _strip_image(cfg) if cfg.input == "strip" else _interface_image(cfg)
     write_image(os.path.join(outdir, "input.pgm"), f0)
     write_csv(os.path.join(outdir, "input.csv"), f0)
-    f1 = _correct_field(cfg, f0, outdir)
+    f1 = correct_field(cfg, f0, _diagnostic(cfg, outdir))
     write_image(os.path.join(outdir, "output.pgm"), f1)
     write_csv(os.path.join(outdir, "output.csv"), f1)
     extras = {}
@@ -283,8 +293,8 @@ def jittered_sinogram(
     """Sinogram of ph at angles + d, d ~ Uniform[0, a] drawn from seed, plus
     Gaussian noise of standard deviation noise * max |clean sinogram|
     (seeded by seed too), with the perturbation it used."""
-    if noise < 0:
-        raise TomoError(f"noise must be non-negative, got {noise}")
+    if not 0 <= noise < math.inf:  # NaN would drop the noise
+        raise TomoError(f"noise must be non-negative and finite, got {noise}")
     pert = sample_uniform_displacement(angles, a, seed)
     sigma = 0.0
     if noise > 0:
@@ -296,18 +306,16 @@ def _run_tomo_experiment(cfg: ExperimentConfig, outdir: str) -> MetricReport:
     ph = shepp_logan(cfg.n, cfg.variant)
     write_image(os.path.join(outdir, "phantom.pgm"), ph)
     angles = angle_grid(cfg.angle_step)
+    sino, pert = jittered_sinogram(ph, angles, cfg.a, cfg.noise, cfg.seed)
     if cfg.a > 0 or cfg.noise > 0:
-        sino, pert = jittered_sinogram(ph, angles, cfg.a, cfg.noise, cfg.seed)
         with open(os.path.join(outdir, "displacement.csv"), "w") as fh:
             fh.write("index,displacement\n")
             for i, d in enumerate(pert.d):
                 fh.write(f"{i},{float(d)!r}\n")
-    else:
-        sino = radon(ph, angles)
     write_csv(os.path.join(outdir, "sinogram.csv"), sino.field)
     write_image(os.path.join(outdir, "sinogram.pgm"), sino.field)
 
-    corrected = _correct_field(cfg, sino.field, outdir)
+    corrected = correct_field(cfg, sino.field, _diagnostic(cfg, outdir))
     if cfg.correction != "none":
         write_csv(os.path.join(outdir, "sinogram_corrected.csv"), corrected)
         write_image(os.path.join(outdir, "sinogram_corrected.pgm"), corrected)

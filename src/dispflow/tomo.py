@@ -57,13 +57,18 @@ def shepp_logan(n: int, variant: str = "high-contrast") -> ScalarField:
     return ScalarField(img, 2.0 / n, 2.0 / n)
 
 
-def angle_grid(step: float) -> np.ndarray:
-    """Sinogram angles j * step for j < round(pi / step); a TomoError if that
-    gives fewer than two angles or pi / step overflows."""
+def angle_count(step: float) -> int:
+    """round(pi / step), counted without building the grid; a TomoError if
+    that is fewer than two, or more float64s than numpy can index."""
     count = math.pi / step if step else 0.0  # NaN stays NaN
-    if not (count < math.inf and round(count) >= 2):
+    if not (count <= np.iinfo(np.intp).max // 8 and round(count) >= 2):
         raise TomoError(f"angle_step must give at least two angles in [0, pi), got {step}")
-    return np.arange(round(count)) * step
+    return round(count)
+
+
+def angle_grid(step: float) -> np.ndarray:
+    """Sinogram angles j * step for j < angle_count(step)."""
+    return np.arange(angle_count(step)) * step
 
 
 @dataclass(frozen=True)
@@ -115,8 +120,8 @@ def sample_uniform_displacement(
     angles, bound: float, seed: int
 ) -> AngularPerturbation:
     """i.i.d. Uniform[0, bound] angular displacements, reproducible by seed."""
-    if bound < 0:
-        raise TomoError("bound must be non-negative")
+    if not 0 <= bound < math.inf:  # NaN would draw all zeros
+        raise TomoError(f"bound must be non-negative and finite, got {bound}")
     rng = np.random.default_rng(seed)
     d = rng.uniform(0.0, bound, size=len(angles)) if bound > 0 else np.zeros(len(angles))
     return AngularPerturbation(d, bound, seed)

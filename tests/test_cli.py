@@ -64,12 +64,16 @@ class TestSinogramVerbs:
         )
         assert not out.exists()
 
-    @pytest.mark.parametrize("arg", ["--noise=-0.5", "--a=-0.1"])
+    @pytest.mark.parametrize("arg", ["--noise=-0.5", "--a=-0.1", "--a=nan", "--a=inf",
+                                     "--noise=nan", "--noise=inf"])
     def test_perturb_negative_setting_fails(self, tmp_path, capsys, arg):
+        # NaN wrote the sinogram without the jitter or the noise
+        key, value = arg[2:].split("=")
         out = tmp_path / "p.csv"
         assert run("perturb", "--n=32", "--angle-step=pi/18", arg, f"--out={out}") == 1
-        err = capsys.readouterr().err
-        assert "must be non-negative" in err and err.count("\n") == 1
+        assert capsys.readouterr().err == (
+            f"dispflow: error: {key} must be non-negative and finite, got {float(value)}\n"
+        )
         assert not out.exists()
 
 
@@ -107,27 +111,64 @@ class TestFlowVerb:
         rc = run("flow", f"--in={src}", "--axis=X3", "--t-end=1e-3",
                  f"--out={tmp_path / 'o.csv'}")
         assert rc == 1
-        assert capsys.readouterr().err == "dispflow: error: unknown axis 'X3'\n"
+        assert capsys.readouterr().err == "dispflow: error: [flow] axis: unknown axis 'X3'\n"
         assert not (tmp_path / "o.csv").exists()
 
-    def test_residuals_match_experiment(self, tmp_path):
-        cfg = tmp_path / "strip.cfg"
+    @pytest.mark.parametrize("args,msg", [
+        (["flow", "--k=1.5", "--t-end=1"], "[flow] k: invalid literal for int() with base 10: '1.5'"),
+        (["varsolve", "--m=many"], "[varsolve] m_max: invalid literal for int() with base 10: 'many'"),
+        (["jitter", "--M=2.5"], "[discrete] m: invalid literal for int() with base 10: '2.5'"),
+        (["fbp", "--n-out=big"], "[tomo] n_out: invalid literal for int() with base 10: 'big'"),
+        (["sinogram", "--angle-step=pie"], "[tomo] angle_step: cannot parse angle 'pie'"),
+    ])
+    def test_malformed_value_names_section_and_key(self, tmp_path, capsys, args, msg):
+        # were argparse's usage and exit 2 (typed flags) or named no key (angles)
+        src = tmp_path / "in.csv"
+        src.write_text("1,2\n3,4\n")
+        assert run(*args, f"--in={src}", f"--out={tmp_path / 'o.csv'}") == 1
+        assert capsys.readouterr().err == f"dispflow: error: {msg}\n"
+        assert not (tmp_path / "o.csv").exists()
+
+
+# verb: (config section, the same settings as flags, diagnostic flag and file)
+CORRECTIONS = {
+    "flow": ("[flow]\naxis = X2\nk = 2\np = 1\nq = 1\nbeta = 1e-4\ncfl = 0.4\nt_end = 0.02\n",
+             ["--axis=X2", "--k=2", "--p=1", "--q=1", "--beta=1e-4", "--cfl=0.4", "--t-end=0.02"],
+             "--residuals", "flow_residuals.csv"),
+    "varsolve": ("[varsolve]\naxis = X1\nk = 1\np = 2\nq = 1\nalpha = 0.5\neps = 1e-2\n"
+                 "beta = 1e-5\nm_max = 5\n",
+                 ["--axis=X1", "--k=1", "--p=2", "--q=1", "--alpha=0.5", "--eps=1e-2",
+                  "--beta=1e-5", "--m=5"],
+                 "--trace", "trace.csv"),
+    "jitter": ("[discrete]\nm = 3\nkorder = 2\n", ["--M=3", "--korder=2"],
+               "--shifts", "shifts.csv"),
+    "assign": ("[discrete]\nm = 8\nkorder = 2\n", ["--M=8", "--korder=2"],
+               "--shifts", "shifts.csv"),
+}
+
+
+class TestCorrectionVerbsMatchExperiment:
+    @pytest.mark.parametrize("given", [True, False], ids=["flags", "defaults"])
+    @pytest.mark.parametrize("verb", CORRECTIONS)
+    def test_same_output_and_diagnostic(self, tmp_path, verb, given):
+        # without a flag a verb runs the schema's default: flow's t_end flag
+        # is required, so "defaults" gives it and the config its value
+        section, flags, diag_flag, diag_file = CORRECTIONS[verb]
+        if not given:
+            section, flags = ("[flow]\nt_end = 5\n", ["--t-end=5"]) if verb == "flow" else ("", [])
+        cfg = tmp_path / "interface.cfg"
         cfg.write_text(
-            "[experiment]\ninput = strip\ncorrection = flow\n"
-            f"outdir = {tmp_path / 'exp'}\n"
-            "[image]\nn = 16\nstrip_width = 3\namplitude = 1\ndx1 = 1\ndx2 = 1\n"
-            "[flow]\naxis = X1\nk = 1\np = 2\nq = 2\nt_end = 1\n"
+            f"[experiment]\ninput = interface\ncorrection = {verb}\noutdir = {tmp_path / 'exp'}\n"
+            "[image]\nn = 16\namplitude = 1\ndx1 = 1\ndx2 = 1\n" + section
         )
-        run("experiment", f"--config={cfg}")
-        exp = tmp_path / "exp"
-        res = tmp_path / "res.csv"
-        rc = run("flow", f"--in={exp / 'input.csv'}", "--axis=X1", "--k=1",
-                 "--p=2", "--q=2", "--t-end=1", f"--out={tmp_path / 'o.csv'}",
-                 f"--residuals={res}")
-        assert rc == 0
-        expected = (exp / "flow_residuals.csv").read_bytes()
+        assert run("experiment", f"--config={cfg}") == 0
+        exp, out, diag = tmp_path / "exp", tmp_path / "o.csv", tmp_path / "d.csv"
+        assert run(verb, f"--in={exp / 'input.csv'}", *flags, f"--out={out}",
+                   f"{diag_flag}={diag}") == 0
+        expected = (exp / diag_file).read_bytes()
         assert len(expected.splitlines()) > 2
-        assert res.read_bytes() == expected
+        assert diag.read_bytes() == expected
+        assert out.read_bytes() == (exp / "output.csv").read_bytes()
 
 
 class TestVarsolveVerb:
@@ -226,6 +267,8 @@ class TestFBPAndMetrics:
         ("-0.1", "angles must be strictly increasing"),
         ("nan", "angles must lie in [0, pi)"),  # was "backproject_angles must be finite"
         ("1", "angles must lie in [0, pi)"),
+        # was read as rows pi/16 apart over [0, pi/2), with pi/16 weights
+        ("pi/16", "angle step 0.19634954084936207 gives 16 angles, the file has 8 rows"),
     ])
     def test_fbp_bad_angle_step_is_one_line(self, tmp_path, capsys, step, msg):
         sino = tmp_path / "s.csv"

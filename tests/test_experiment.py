@@ -2,6 +2,7 @@ import dataclasses
 import math
 import os
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from dispflow.experiment import (
     ConfigError,
     ExperimentConfig,
     _echo_config,
+    jittered_sinogram,
     load_config,
     parse_angle,
     run_experiment,
@@ -75,11 +77,12 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="must be non-negative"):
             ExperimentConfig(a=float(a), noise=float(noise))
 
-    @pytest.mark.parametrize("step", ["0", "nan", "-0.1", "4", "inf", "5e-324"])
+    @pytest.mark.parametrize("step", ["0", "nan", "-0.1", "4", "inf", "5e-324", "1e-300"])
     def test_angle_step_without_two_angles(self, tmp_path, step):
         # each failed only inside the run (ZeroDivisionError, NaN to int, or in
         # radon / fbp), after config.echo.cfg and phantom.pgm were written;
-        # 5e-324 (pi / step overflows) raised OverflowError from the check
+        # 5e-324 (pi / step overflows) raised OverflowError from the check, and
+        # 1e-300 (too many angles for numpy) "Maximum allowed size exceeded"
         msg = f"angle_step must give at least two angles in [0, pi), got {float(step)}"
         p = tmp_path / "step.cfg"
         p.write_text(f"[tomo]\nangle_step = {step}\n")
@@ -88,6 +91,15 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match=f"^{re.escape(msg)}$"):
             ExperimentConfig(angle_step=float(step))
         assert ExperimentConfig(angle_step=2.0).angle_step == 2.0  # round(pi / 2) == 2
+
+    def test_angle_step_check_builds_no_grid(self):
+        # the check built the 31-million-angle grid: 502 MB traced, 0.44 s
+        tracemalloc.start()
+        try:
+            assert ExperimentConfig(angle_step=1e-7).angle_step == 1e-7
+            assert tracemalloc.get_traced_memory()[1] < 1_000_000
+        finally:
+            tracemalloc.stop()
 
     @pytest.mark.parametrize("text,msg", [
         ("[flow]\nt-end = 5\n", "unknown key 't-end' in [flow]"),
@@ -341,6 +353,15 @@ class TestRunExperiment:
         pert = sample_uniform_displacement(angles, math.pi / 18, seed=3)
         sino = radon_perturbed(ph, angles, None, pert)
         assert np.allclose(written.values, sino.field.values)
+
+    @pytest.mark.parametrize("noise", [-0.5, math.nan, math.inf])
+    def test_jittered_sinogram_rejects_noise(self, noise):
+        # NaN dropped the noise; inf failed as "field contains non-finite values"
+        from dispflow.tomo import TomoError, angle_grid, shepp_logan
+
+        msg = f"noise must be non-negative and finite, got {noise}"
+        with pytest.raises(TomoError, match=f"^{re.escape(msg)}$"):
+            jittered_sinogram(shepp_logan(16), angle_grid(math.pi / 8), 0.1, noise, 7)
 
     def test_displacement_csv_parses_to_the_drawn_values(self, tmp_path):
         from dispflow.tomo import sample_uniform_displacement

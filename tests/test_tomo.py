@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from dispflow.tomo import (
     _project,
     _ray_spans,
     _support_box,
+    angle_count,
     angle_grid,
     default_offsets,
     fbp,
@@ -70,13 +72,24 @@ class TestAngleGrid:
         grid = angle_grid(step)
         ref = np.arange(round(math.pi / step)) * step
         assert grid.dtype == ref.dtype and grid.tobytes() == ref.tobytes()
+        assert angle_count(step) == grid.size
 
-    @pytest.mark.parametrize("step", [0.0, math.nan, math.inf, -0.1, 4.0, 5e-324])
+    @pytest.mark.parametrize("step", [0.0, math.nan, math.inf, -0.1, 4.0, 5e-324, 1e-300])
     def test_fewer_than_two_angles_rejected(self, step):
-        # 5e-324: pi / step overflows to inf
+        # 5e-324: pi / step overflows to inf; 1e-300: more angles than numpy can
+        # index, which escaped as "Maximum allowed size exceeded"
         msg = f"angle_step must give at least two angles in [0, pi), got {step}"
-        with pytest.raises(TomoError, match=f"^{re.escape(msg)}$"):
-            angle_grid(step)
+        for fn in (angle_count, angle_grid):
+            with pytest.raises(TomoError, match=f"^{re.escape(msg)}$"):
+                fn(step)
+
+    def test_count_builds_no_grid(self):
+        tracemalloc.start()
+        try:
+            assert angle_count(1e-7) == 31415927  # a 251 MB grid
+            assert tracemalloc.get_traced_memory()[1] < 1_000_000
+        finally:
+            tracemalloc.stop()
 
 
 class TestSinogramType:
@@ -424,6 +437,13 @@ class TestPerturbation:
         assert np.all((p1.d >= 0) & (p1.d <= 0.1))
         p3 = sample_uniform_displacement(ANGLES_90, 0.1, seed=4)
         assert not np.array_equal(p1.d, p3.d)
+
+    @pytest.mark.parametrize("bound", [-0.1, math.nan, math.inf])
+    def test_bound_not_non_negative_and_finite_rejected(self, bound):
+        # NaN drew all-zero displacements; inf failed inside numpy's uniform
+        msg = f"bound must be non-negative and finite, got {bound}"
+        with pytest.raises(TomoError, match=f"^{re.escape(msg)}$"):
+            sample_uniform_displacement(ANGLES_90, bound, seed=3)
 
     def test_negative_displacement_rejected(self):
         with pytest.raises(TomoError):
