@@ -19,10 +19,14 @@ then `radon_perturbed` and `fbp` once more at the larger size n = 256,
 180 angles (same seed and bound), printed with the suffix `_256x180`.
 The explicit flow stepper is timed on its own inputs: `fig2_flow` and
 `fig3_flow` evolve the input images of configs/fig2.cfg and fig3.cfg
-under their [flow] settings, and `strip_step_us` is one step of
+under their [flow] settings, and three per-step times, in microseconds,
+are each the best time of a run over its step count: `strip_step_us`,
 acceptance criterion 3's (k, p, q) = (2, 2, 2) strip (64 x 4, amplitude
-1e4, dx 0.1) in microseconds: the best time of a run to t_end = 5e-11
-(about 4,400 steps) over its step count.  Each stage runs N times
+1e4, dx 0.1) run to t_end = 5e-11 (about 4,400 steps);
+`strip_step_p1_us`, its (2, 1, 2) strip (beta = 1e-2) run to the
+criterion's t_end = 1e-6 (about 280 steps); and `interface_step_us`,
+criterion 4's (1, 2, 2) X2 flow on its 32 x 12 curved interface (dx 1)
+run to t_end = 8e3 (about 4,000 steps).  Each stage runs N times
 (default 5) in this process; the best time, in milliseconds unless the
 name says otherwise, is printed with the settings as one JSON line,
 together with `distinct_columns` and `noisy_distinct_columns`, the number
@@ -85,7 +89,6 @@ from dispflow.tomo import angle_grid  # noqa: E402
 
 N, N_ANGLES, SEED, A = 128, 90, 7, math.pi / 18
 LARGE_N, LARGE_ANGLES = 256, 180
-STRIP_T_END = 5e-11
 ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
 
 
@@ -195,16 +198,23 @@ def main(argv=None) -> int:
     strip = np.zeros((64, 4))
     strip[29:34] = 1e4  # criterion 3's strip: width 5, centred
     strip = ScalarField(strip, 0.1, 0.1)
-    strip_params = FlowParams(axis=Axis.X1, k=2, p=2, q=2)
-    strip_steps = evolve(strip, strip_params, STRIP_T_END).steps
+    i1, x2 = np.arange(32)[:, None], np.arange(12)[None, :]
+    s = 0.5 * 32 + 0.12 * 32 * np.sin(2 * math.pi * x2 / 11)  # criterion 4's interface
+    interface = ScalarField(np.clip((i1 - s) / 4.0 + 0.5, 0.0, 1.0), 1.0, 1.0)
+    step_runs = {  # name: (field, params, t_end)
+        "strip_step_us": (strip, FlowParams(axis=Axis.X1, k=2, p=2, q=2), 5e-11),
+        "strip_step_p1_us": (strip, FlowParams(axis=Axis.X1, k=2, p=1, q=2, beta=1e-2), 1e-6),
+        "interface_step_us": (interface, FlowParams(axis=Axis.X2, k=1, p=2, q=2), 8e3),
+    }
 
     out = {"n": N, "angles": N_ANGLES, "seed": SEED, "repeat": args.repeat, "unit": "ms",
            "distinct_columns": len(distinct_columns(v.values)[0]),
            "noisy_distinct_columns": len(distinct_columns(noisy.values)[0])}
     out.update(cold_start(args.repeat))
     out.update({name: round(best_ms(fn, args.repeat), 3) for name, fn in stages.items()})
-    strip_ms = best_ms(lambda: evolve(strip, strip_params, STRIP_T_END), args.repeat)
-    out["strip_step_us"] = round(1e3 * strip_ms / strip_steps, 3)
+    for name, run in step_runs.items():
+        steps = evolve(*run).steps
+        out[name] = round(1e3 * best_ms(lambda: evolve(*run), args.repeat) / steps, 3)
     print(json.dumps(out))
     return 0
 

@@ -127,10 +127,12 @@ class ExperimentConfig:
             raise ConfigError(f"unknown correction stage {self.correction!r}")
         if self.input not in _INPUTS:
             raise ConfigError(f"unknown input kind {self.input!r}")
-        for key in ("a", "noise"):
+        for key in ("a", "noise", "t_end"):
             # a NaN or inf here would otherwise run the clean pipeline or fail mid-run
             if not 0 <= getattr(self, key) < math.inf:
                 raise ConfigError(f"{key} must be non-negative and finite, got {getattr(self, key)}")
+        if self.m_max < 1:
+            raise ConfigError(f"m_max must be at least 1, got {self.m_max}")
         try:
             angle_count(self.angle_step)
         except TomoError as exc:

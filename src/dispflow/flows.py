@@ -18,7 +18,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import Axis, GridError, ScalarField, diff_axis0_kernel, distinct_columns, row_pair
+from .grid import (Axis, GridError, ScalarField, diff_axis0_kernel, distinct_columns, row_pair,
+                   run_calls)
 
 #: hard floor used in the CFL bound so a flat field never divides by zero
 DT_FLOOR = 1e-12
@@ -64,6 +65,7 @@ class FlowState:
     last_dt: float = 0.0
     residuals: list = field(default_factory=list)  # ||rhs||_inf per step
     truncated: bool = False  # stopped at max_steps short of t_end
+    capped: int = 0  # steps whose dt the max_change cap set
 
 
 def _check_shape(shape, params: FlowParams):
@@ -86,179 +88,149 @@ def _flow_layout(values: np.ndarray, params: FlowParams) -> np.ndarray:
 
 class _Workspace:
     """One flow on one grid, in the flow layout: its buffers and, for each
-    field buffer it may read, that buffer's bound kernels.
+    field buffer it may read, that buffer's bound calls.
 
     mob and rhs hold the mobility and the right-hand side; inner holds the
     k=1 face fluxes (n+1 rows) or the k=2 inner second difference, and
-    scratch the p=1 quotient's and CFL bound's temporaries.  kernels[i] is
-    (mobility, rhs, stable_dt) for fields[i]: functions of no argument whose
-    views and temporaries are built here, so evaluating them allocates
-    nothing.  Each reads the field's current values, rhs reads mob, and
-    stable_dt reads mob and uses inner and scratch, not rhs."""
+    scratch the p=1 quotient's and CFL bound's temporaries.  calls[i] is
+    (step, cfl) for fields[i]: lists of bound ufunc calls (grid.run_calls)
+    whose views, 0-d scalar operands and variant branches (k, p, q, eps)
+    are all fixed here, so running them allocates nothing and tests no
+    setting.  step writes the mobility into mob, then the rhs into rhs;
+    cfl, run after it, writes the CFL bound's coefficient into coeff (mob
+    itself for p=2) using inner and scratch, not rhs."""
 
     def __init__(self, fields, dx1: float, dx: float, params: FlowParams):
-        n, m = fields[0].shape
-        self.mob = np.empty((n, m))
-        self.rhs = np.empty((n, m))
-        self.inner = np.empty((n + 1 if params.k == 1 else n, m))
+        shape = fields[0].shape  # (n, m), or (n,) for one X1 column
+        n = shape[0]
+        self.mob, self.rhs = np.empty(shape), np.empty(shape)
+        self.inner = np.empty((n + 1 if params.k == 1 else n,) + shape[1:])
         self.scratch = np.empty_like(self.inner)
-        self.kernels = [
-            (_mobility(v, dx1, params, self.mob), _rhs(v, dx, params, self),
+        self.coeff = self.scratch[:n] if params.p == 1 else self.mob
+        # dt = cfl * dx_i^(2k) / (2^(2k) * max(max coeff, floor)); see _stable_dt
+        self.num, self.den = float(params.cfl * dx ** (2 * params.k)), 2 ** (2 * params.k)
+        self.floor = max(params.eps, DT_FLOOR)
+        self.calls = [
+            (_mobility(v, dx1, params, self.mob) + _rhs(v, dx, params, self),
              _stable_dt(v, dx, params, self))
             for v in fields
         ]
 
+    def rhs_of(self, side: int) -> np.ndarray:
+        """The mobility of fields[side] into mob, then its rhs into rhs."""
+        for f, args in self.calls[side][0]:
+            f(*args)
+        return self.rhs
 
-def _mobility(v: np.ndarray, dx1: float, params: FlowParams, out: np.ndarray):
-    """|d1 u|^q + eps into out, bound to v; v and out are in the flow layout."""
+    def stable_dt_of(self, side: int) -> float:
+        """The CFL bound at fields[side], from the mobility in mob."""
+        for f, args in self.calls[side][1]:
+            f(*args)
+        return self.num / (self.den * max(float(np.maximum.reduce(self.coeff, None)), self.floor))
+
+
+def _mobility(v: np.ndarray, dx1: float, params: FlowParams, out: np.ndarray) -> list:
+    """Calls writing |d1 u|^q + eps into out from v, both in the flow layout."""
     # _flow_layout undoes itself: v and out with X1 first
-    d1 = diff_axis0_kernel(_flow_layout(v, params), dx1, 1, _flow_layout(out, params))
-
-    def run():
-        d1()
-        if params.q == 2:
-            np.multiply(out, out, out=out)  # |g|^2 == g * g exactly
-        else:
-            np.abs(out, out=out)
-        if params.eps:  # adding 0.0 to a non-negative mobility changes nothing
-            np.add(out, params.eps, out=out)
-        return out
-
-    return run
+    calls = diff_axis0_kernel(_flow_layout(v, params), dx1, 1, _flow_layout(out, params))
+    # |g|^2 == g * g exactly
+    calls.append((np.multiply, (out, out, out)) if params.q == 2 else (np.absolute, (out, out)))
+    if params.eps:  # adding 0.0 to a non-negative mobility changes nothing
+        calls.append((np.add, (out, np.array(params.eps), out)))
+    return calls
 
 
-def _quotient(g: np.ndarray, params: FlowParams, tmp: np.ndarray) -> np.ndarray:
-    """g / sqrt(g^2 + beta^2) in place for p=1 (g itself for p=2)."""
-    if params.p == 1:
-        np.multiply(g, g, out=tmp)
-        tmp += params.beta**2
-        np.sqrt(tmp, out=tmp)
-        g /= tmp
-    return g
+def _quotient(g: np.ndarray, params: FlowParams, tmp: np.ndarray) -> list:
+    """Calls turning g into g / sqrt(g^2 + beta^2) in place for p=1 (none
+    for p=2)."""
+    if params.p == 2:
+        return []
+    b2 = np.array(params.beta**2)
+    return [(np.multiply, (g, g, tmp)), (np.add, (tmp, b2, tmp)), (np.sqrt, (tmp, tmp)),
+            (np.divide, (g, tmp, g))]
 
 
-def _face_gradient(v: np.ndarray, dx: float, out: np.ndarray):
-    """First derivative at the n+1 cell faces along axis 0 into out, bound
-    to v.
+def _face_gradient(v: np.ndarray, dx: float, out: np.ndarray) -> list:
+    """Calls writing the first derivative at the n+1 cell faces along axis 0
+    of v into out.
 
     Interior faces use the compact two-point difference; each boundary face
     copies the nearest interior face, so the flux divergence vanishes at the
     boundary cells.  This keeps affine fields exactly stationary and, unlike
     higher-order flux extrapolation, never injects energy at the boundary."""
-    n = v.shape[0]
-    mid, hi, lo = out[1:-1], v[1:], v[:-1]
-    ends, near = out[::n], row_pair(out, 1, n - 1)  # g[0] = g[1], g[-1] = g[-2]
-
-    def run():
-        np.subtract(hi, lo, out=mid)
-        np.divide(mid, dx, out=mid)
-        np.copyto(ends, near)
-        return out
-
-    return run
+    n, mid = v.shape[0], out[1:-1]
+    return [(np.subtract, (v[1:], v[:-1], mid)), (np.divide, (mid, np.array(dx), mid)),
+            (np.copyto, (out[::n], row_pair(out, 1, n - 1)))]  # g[0] = g[1], g[-1] = g[-2]
 
 
-def _neumann_d2(v: np.ndarray, h2: float, out: np.ndarray):
-    """Second difference along axis 0 into out, bound to v, with
+def _neumann_d2(v: np.ndarray, h2: float, out: np.ndarray) -> list:
+    """Calls writing the second difference along axis 0 of v into out, with
     even-reflection ghost cells (zero odd derivative at the boundary faces),
     divided by h2 = dx^2, or by -dx^2 for the negated operator:
     x / -h2 == -(x / h2) exactly.  The resulting matrix is symmetric
     negative semidefinite, so the composed k=2 operator cannot inject energy
     at the boundary."""
-    n = v.shape[0]
-    mid, centre, lo, hi = out[1:-1], v[1:-1], v[:-2], v[2:]
-    ends, near, edge = out[:: n - 1], row_pair(v, 1, n - 2), row_pair(v, 0, n - 1)
-
-    def run():
-        # (v[:-2] - 2 v[1:-1] + v[2:]); (v[1] - v[0]) and (v[-2] - v[-1]) at the ends
-        np.multiply(2.0, centre, out=mid)
-        np.subtract(lo, mid, out=mid)
-        np.add(mid, hi, out=mid)
-        np.subtract(near, edge, out=ends)
-        np.divide(out, h2, out=out)
-        return out
-
-    return run
+    n, mid = v.shape[0], out[1:-1]
+    # (v[:-2] - 2 v[1:-1] + v[2:]); (v[1] - v[0]) and (v[-2] - v[-1]) at the ends
+    return [(np.multiply, (np.array(2.0), v[1:-1], mid)), (np.subtract, (v[:-2], mid, mid)),
+            (np.add, (mid, v[2:], mid)),
+            (np.subtract, (row_pair(v, 1, n - 2), row_pair(v, 0, n - 1), out[:: n - 1])),
+            (np.divide, (out, np.array(h2), out))]
 
 
-def _rhs(v: np.ndarray, dx: float, params: FlowParams, ws: _Workspace):
-    """Right-hand side into ws.rhs, bound to v in the flow layout; reads
-    v's mobility from ws.mob.
+def _rhs(v: np.ndarray, dx: float, params: FlowParams, ws: _Workspace) -> list:
+    """Calls writing the right-hand side of v, in the flow layout, into
+    ws.rhs; they read v's mobility from ws.mob.
 
     k=1 uses a staggered conservative form (flux at cell faces, divergence
     back to centers), which avoids the odd/even decoupling of composed
     wide central stencils; k=2 composes the self-adjoint reflection-BC
     second difference with itself, the outer one negated for the sign
     (-1)^(k-1)."""
-    out, mob, inner, scratch = ws.rhs, ws.mob, ws.inner, ws.scratch
+    out, inner = ws.rhs, ws.inner
+    quotient = _quotient(inner, params, ws.scratch)
     if params.k == 1:
-        grad, hi, lo = _face_gradient(v, dx, inner), inner[1:], inner[:-1]
-
-        def run():
-            _quotient(grad(), params, scratch)
-            np.subtract(hi, lo, out=out)
-            np.divide(out, dx, out=out)
-            np.multiply(out, mob, out=out)
-            return out
+        calls = _face_gradient(v, dx, inner) + quotient + [
+            (np.subtract, (inner[1:], inner[:-1], out)), (np.divide, (out, np.array(dx), out))]
     else:
         h2 = dx * dx
-        d2, outer = _neumann_d2(v, h2, inner), _neumann_d2(inner, -h2, out)
-
-        def run():
-            _quotient(d2(), params, scratch)
-            outer()
-            np.multiply(out, mob, out=out)
-            return out
-
-    return run
+        calls = _neumann_d2(v, h2, inner) + quotient + _neumann_d2(inner, -h2, out)
+    return calls + [(np.multiply, (out, ws.mob, out))]
 
 
-def _stable_dt(v: np.ndarray, dx: float, params: FlowParams, ws: _Workspace):
-    """Parabolic CFL bound for the frozen-coefficient linearization, bound
-    to v; reads v's mobility from ws.mob.
+def _stable_dt(v: np.ndarray, dx: float, params: FlowParams, ws: _Workspace) -> list:
+    """Calls writing the coefficient of the parabolic CFL bound at v into
+    ws.coeff (none for p=2, whose coefficient is ws.mob itself); they read
+    v's mobility from ws.mob and use ws.inner and ws.scratch, not ws.rhs.
 
-    dt = cfl * dx_i^(2k) / (2^(2k) * max coefficient), where the local
-    coefficient is mobility times the derivative of the p=1 quotient
-    (identically 1 for p=2).  Uses ws.inner and ws.scratch, not ws.rhs.
-    """
-    coeff, floor = ws.mob, max(params.eps, DT_FLOOR)
-    num, den = params.cfl * dx ** (2 * params.k), 2 ** (2 * params.k)
-    if params.p == 1:
-        n, mob, b2 = v.shape[0], ws.mob, params.beta**2
-        g, coeff = ws.inner[:n], ws.scratch[:n]
-        diff = diff_axis0_kernel(v, dx, params.k, g)
-
-    def run():
-        if params.p == 1:
-            diff()
-            # mob * b2 / (g * g + b2) ** 1.5
-            np.multiply(g, g, out=g)
-            np.add(g, b2, out=g)
-            np.power(g, 1.5, out=g)
-            np.multiply(mob, b2, out=coeff)
-            np.divide(coeff, g, out=coeff)
-        cmax = max(float(coeff.max()), floor)
-        return float(num / (den * cmax))
-
-    return run
+    The bound of the frozen-coefficient linearization is
+    dt = cfl * dx_i^(2k) / (2^(2k) * max coefficient) (_Workspace.stable_dt_of),
+    where the local coefficient is mobility times the derivative of the p=1
+    quotient (identically 1 for p=2)."""
+    if params.p == 2:
+        return []
+    g, b2 = ws.inner[: v.shape[0]], np.array(params.beta**2)
+    # mob * b2 / (g * g + b2) ** 1.5
+    return diff_axis0_kernel(v, dx, params.k, g) + [
+        (np.multiply, (g, g, g)), (np.add, (g, b2, g)), (np.power, (g, np.array(1.5), g)),
+        (np.multiply, (ws.mob, b2, ws.coeff)), (np.divide, (ws.coeff, g, ws.coeff))]
 
 
 def flow_rhs(u: ScalarField, params: FlowParams) -> ScalarField:
     """Right-hand side of the flow evaluated with finite differences."""
     _check_shape(u.shape, params)
     v = _flow_layout(u.values, params)
-    mobility, rhs, _ = _Workspace((v,), u.dx1, u.spacing(params.axis), params).kernels[0]
-    mobility()
-    return u.with_values(_flow_layout(rhs(), params))
+    ws = _Workspace((v,), u.dx1, u.spacing(params.axis), params)
+    return u.with_values(_flow_layout(ws.rhs_of(0), params))
 
 
 def stable_dt(u: ScalarField, params: FlowParams) -> float:
     """Parabolic CFL bound of the explicit step at u (see _stable_dt)."""
     _check_shape(u.shape, params)
     v = _flow_layout(u.values, params)
-    mobility, _, dt = _Workspace((v,), u.dx1, u.spacing(params.axis), params).kernels[0]
-    mobility()
-    return dt()
+    ws = _Workspace((v,), u.dx1, u.spacing(params.axis), params)
+    run_calls(_mobility(v, u.dx1, params, ws.mob))
+    return ws.stable_dt_of(0)
 
 
 def evolve(
@@ -292,22 +264,33 @@ def evolve(
 
     The loop runs in one workspace allocated per call: two field buffers
     that swap each step, in the flow layout (an X2 flow runs on the
-    contiguous transpose), and the buffers and bound kernels of _Workspace,
-    so a step allocates no array and builds no view.  The result is
-    gathered back to u0's columns, or transposed back, once at the end.  It
-    computes the mobility once per step for both the rhs and the CFL bound
-    and never writes into u0.
+    contiguous transpose), and the buffers and bound calls of _Workspace,
+    so a step allocates no array, builds no view and tests no flow setting:
+    it is the ufunc calls of the mobility and the rhs, max |rhs| (which
+    must be finite), the CFL bound, the update u + dt * rhs and a check
+    that every sample of it is finite.  The result is gathered back to u0's
+    columns, or transposed back, once at the end.  It computes the
+    mobility once per step for both the rhs and the CFL bound and never
+    writes into u0.
 
     max_change additionally caps each step so no sample moves by more than
     that fraction of the initial dynamic range; the frozen-coefficient CFL
     bound alone can admit huge steps for the saturated p=1 quotient.
-    dt_override and max_change, when not None, must be finite and positive:
-    anything else is a FlowError before the first step.
+    FlowState.capped counts the steps whose dt that cap set, below both
+    the step bound and the remaining time.  t_end must be non-negative,
+    and finite unless stop_residual is set; stop_residual, when not None,
+    non-negative; max_steps a positive int; dt_override and max_change,
+    when not None, finite and positive.  Anything else is a FlowError
+    before the first step.
     """
     if not np.isfinite(t_end) and stop_residual is None:
         raise FlowError("t_end must be finite unless stop_residual is set")
-    if t_end < 0:
-        raise FlowError("t_end must be non-negative")
+    if not t_end >= 0:
+        raise FlowError(f"t_end must be non-negative, got {t_end}")
+    if stop_residual is not None and not stop_residual >= 0:
+        raise FlowError(f"stop_residual must be non-negative, got {stop_residual}")
+    if not isinstance(max_steps, (int, np.integer)) or max_steps < 1:
+        raise FlowError(f"max_steps must be a positive int, got {max_steps!r}")
     if dt_override is not None and not 0 < dt_override < math.inf:
         raise FlowError(f"dt_override must be finite and positive, got {dt_override}")
     if max_change is not None and not 0 < max_change < math.inf:
@@ -315,32 +298,38 @@ def evolve(
     _check_shape(u0.shape, params)
     if params.axis == Axis.X1:
         first, lines = distinct_columns(u0.values)
-        u = np.take(u0.values, first, axis=1)
+        # one distinct column steps as a 1-D array, whose strided row pairs
+        # numpy runs on its fast path, not its general iterator
+        u = u0.values[:, first[0]].copy() if first.size == 1 else np.take(u0.values, first, axis=1)
     else:
         u = np.array(u0.values.T, order="C")
     nxt, finite = np.empty_like(u), np.empty(u.shape, dtype=bool)
     ws = _Workspace((u, nxt), u0.dx1, u0.spacing(params.axis), params)
-    t, steps, last_dt, residuals, side = 0.0, 0, 0.0, [], 0
+    rhs_of, stable_dt_of = ws.rhs_of, ws.stable_dt_of
+    absolute, multiply, add, isfinite = np.absolute, np.multiply, np.add, np.isfinite
+    max_of, count, size = np.maximum.reduce, np.count_nonzero, u.size
+    t, steps, capped, last_dt, residuals, side = 0.0, 0, 0, 0.0, [], 0
     u0range = float(np.max(u) - np.min(u))
+    # the cap dt <= max_change * u0range / res, as its numerator; res is
+    # finite and non-negative where it is compared, so -inf never stops
+    cap = max_change * u0range if max_change is not None and u0range > 0 else None
+    stop = -math.inf if stop_residual is None else stop_residual
     # overflow in a wildly unstable step surfaces as StabilityError below
     with np.errstate(over="ignore", invalid="ignore"):
         while t < t_end and steps < max_steps:
-            mobility, rhs_of, stable_dt_of = ws.kernels[side]
-            mobility()  # one mobility per step, shared by the rhs and the CFL bound
-            rhs = rhs_of()
-            res = float(np.abs(rhs, out=nxt).max())  # NaN and inf propagate
+            rhs = rhs_of(side)  # one mobility per step, shared by the rhs and the CFL bound
+            res = float(max_of(absolute(rhs, nxt), None))  # NaN and inf propagate
             if not math.isfinite(res):
                 raise StabilityError(f"non-finite rhs at step {steps}")
             residuals.append(res)
-            if stop_residual is not None and res <= stop_residual:
+            if res <= stop:
                 break
-            base_dt = dt_override if dt_override is not None else stable_dt_of()
-            dt = min(base_dt, t_end - t)
-            if max_change is not None and res > 0 and u0range > 0:
-                dt = min(dt, max_change * u0range / res)
-            np.multiply(dt, rhs, out=nxt)
-            nxt += u  # u + dt * rhs
-            if not np.isfinite(nxt, out=finite).all():
+            dt = min(stable_dt_of(side) if dt_override is None else dt_override, t_end - t)
+            if cap is not None and res > 0 and cap / res < dt:
+                dt, capped = cap / res, capped + 1
+            multiply(dt, rhs, nxt)
+            add(nxt, u, nxt)  # u + dt * rhs
+            if count(isfinite(nxt, finite)) < size:
                 raise StabilityError(f"non-finite field after step {steps} (dt={dt:g})")
             u, nxt, side = nxt, u, 1 - side
             t += dt
@@ -353,5 +342,5 @@ def evolve(
             RuntimeWarning,
             stacklevel=2,
         )
-    u = np.take(u, lines, axis=1) if params.axis == Axis.X1 else np.ascontiguousarray(u.T)
-    return FlowState(u0.with_values(u), t, steps, last_dt, residuals, truncated)
+    u = np.take(u.reshape(u0.n1, -1), lines, axis=1) if params.axis == Axis.X1 else np.ascontiguousarray(u.T)
+    return FlowState(u0.with_values(u), t, steps, last_dt, residuals, truncated, capped)

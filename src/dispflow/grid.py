@@ -83,9 +83,9 @@ def _check_size(f: ScalarField, axis: Axis, k: int):
 
 def row_pair(v: np.ndarray, i: int, j: int) -> np.ndarray:
     """Rows i and j of v as one (2, ...) view, so a stencil's two boundary
-    rows are computed by one batched expression."""
+    rows are computed by one batched expression; v may be 1-D."""
     if i == j:
-        return np.broadcast_to(v[i], (2,) + v.shape[1:])
+        return np.broadcast_to(v[i : i + 1], (2,) + v.shape[1:])
     return v[i :: j - i][:2]
 
 
@@ -101,17 +101,25 @@ def distinct_columns(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.unique(keys, return_index=True, return_inverse=True)[1:]
 
 
-# coefficients of the one-sided order-1 boundary stencils, one row per end:
+# coefficients of the one-sided order-1 boundary stencils, one entry per end:
 # out[0] = (-1.5 v0 + 2 v1 - 0.5 v2) / dx, out[-1] = (0.5 v-3 - 2 v-2 + 1.5 v-1) / dx
-_D1_ENDS = tuple(np.array([[lo], [hi]]) for lo, hi in ((-1.5, 0.5), (2.0, -2.0), (-0.5, 1.5)))
+_D1_ENDS = ((-1.5, 0.5), (2.0, -2.0), (-0.5, 1.5))
 
 
-def diff_axis0_kernel(v: np.ndarray, dx: float, k: int, out: np.ndarray):
-    """The order-k difference along axis 0 of a raw 2D array v into out, as a
-    function of no arguments: the one definition of the stencils behind
-    diff(), diff_matrix() and the flows' mobility.  Its views of v and out
-    and its two end-row temporaries are built here, once, so each call
-    allocates nothing and reads v's current values.
+def run_calls(calls) -> None:
+    """Run a list of bound calls, (function, positional arguments) pairs, in
+    order."""
+    for f, args in calls:
+        f(*args)
+
+
+def diff_axis0_kernel(v: np.ndarray, dx: float, k: int, out: np.ndarray) -> list:
+    """The order-k difference along axis 0 of a raw 1-D or 2-D array v into out, as a
+    list of bound ufunc calls for run_calls: the one definition of the
+    stencils behind diff(), diff_matrix() and the flows' mobility.  Its views
+    of v and out, its scalars (0-d float64 arrays, the same IEEE operands as
+    Python floats) and its two end-row temporaries are built here, once, so
+    running it allocates nothing and reads v's current values.
 
     Central second-order stencils in the interior, second-order one-sided
     stencils at the two boundary samples (exact on polynomials of degree
@@ -123,44 +131,31 @@ def diff_axis0_kernel(v: np.ndarray, dx: float, k: int, out: np.ndarray):
     n = v.shape[0]
     mid, ends = out[1:-1], out[:: n - 1]
     e, tmp = np.empty((2, 2) + v.shape[1:])
+    sub, add, mul, div = np.subtract, np.add, np.multiply, np.divide
     if k == 1:
         # out[1:-1] = (v[2:] - v[:-2]) / (2 dx)
-        hi, lo, h = v[2:], v[:-2], 2.0 * dx
-        c0, c1, c2 = _D1_ENDS
+        h, dx = np.array(2.0 * dx), np.array(dx)
+        c0, c1, c2 = (np.reshape(c, (2,) + (1,) * (v.ndim - 1)) for c in _D1_ENDS)
         p0, p1, p2 = (row_pair(v, i, n - 3 + i) for i in range(3))
-
-        def run():
-            np.subtract(hi, lo, out=mid)
-            np.divide(mid, h, out=mid)
-            np.multiply(c0, p0, out=e)
-            np.add(e, np.multiply(c1, p1, out=tmp), out=e)
-            np.add(e, np.multiply(c2, p2, out=tmp), out=e)
-            np.divide(e, dx, out=ends)
-            return out
-    else:
-        # out[1:-1] = (v[2:] - 2 v[1:-1] + v[:-2]) / dx^2
-        # out[0] = (2 v0 - 5 v1 + 4 v2 - v3) / dx^2, and mirrored at the end
-        h2, hi, centre, lo = dx * dx, v[2:], v[1:-1], v[:-2]
-        p0, p1, p2, p3 = (row_pair(v, i, n - 1 - i) for i in range(4))
-
-        def run():
-            np.multiply(2.0, centre, out=mid)
-            np.subtract(hi, mid, out=mid)
-            np.add(mid, lo, out=mid)
-            np.divide(mid, h2, out=mid)
-            np.multiply(2.0, p0, out=e)
-            np.subtract(e, np.multiply(5.0, p1, out=tmp), out=e)
-            np.add(e, np.multiply(4.0, p2, out=tmp), out=e)
-            np.subtract(e, p3, out=e)
-            np.divide(e, h2, out=ends)
-            return out
-    return run
+        return [(sub, (v[2:], v[:-2], mid)), (div, (mid, h, mid)),
+                (mul, (c0, p0, e)), (mul, (c1, p1, tmp)), (add, (e, tmp, e)),
+                (mul, (c2, p2, tmp)), (add, (e, tmp, e)), (div, (e, dx, ends))]
+    # out[1:-1] = (v[2:] - 2 v[1:-1] + v[:-2]) / dx^2
+    # out[0] = (2 v0 - 5 v1 + 4 v2 - v3) / dx^2, and mirrored at the end
+    h2, two, five, four = (np.array(c) for c in (dx * dx, 2.0, 5.0, 4.0))
+    p0, p1, p2, p3 = (row_pair(v, i, n - 1 - i) for i in range(4))
+    return [(mul, (two, v[1:-1], mid)), (sub, (v[2:], mid, mid)), (add, (mid, v[:-2], mid)),
+            (div, (mid, h2, mid)), (mul, (two, p0, e)), (mul, (five, p1, tmp)),
+            (sub, (e, tmp, e)), (mul, (four, p2, tmp)), (add, (e, tmp, e)),
+            (sub, (e, p3, e)), (div, (e, h2, ends))]
 
 
 def diff_axis0(v: np.ndarray, dx: float, k: int, out: np.ndarray | None = None) -> np.ndarray:
     """Order-k difference along axis 0 of a raw 2D array, written into out
     (a new array if None); see diff_axis0_kernel."""
-    return diff_axis0_kernel(v, dx, k, np.empty_like(v) if out is None else out)()
+    out = np.empty_like(v) if out is None else out
+    run_calls(diff_axis0_kernel(v, dx, k, out))
+    return out
 
 
 @lru_cache(maxsize=64)

@@ -317,6 +317,10 @@ class TestTopLevel:
         ("[flow]\nk = 1.5\n", "[flow] k: invalid literal for int() with base 10: '1.5'"),
         ("[tomo]\nangle_step = 0\n",
          "angle_step must give at least two angles in [0, pi), got 0.0"),
+        ("[flow]\nt_end = nan\n", "t_end must be non-negative and finite, got nan"),
+        ("[flow]\nt_end = inf\n", "t_end must be non-negative and finite, got inf"),
+        ("[flow]\nt_end = -1\n", "t_end must be non-negative and finite, got -1.0"),
+        ("[varsolve]\nm_max = 0\n", "m_max must be at least 1, got 0"),
     ])
     def test_experiment_bad_config_is_one_line(self, tmp_path, capsys, text, msg):
         cfg = tmp_path / "bad.cfg"

@@ -77,6 +77,23 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="must be non-negative"):
             ExperimentConfig(a=float(a), noise=float(noise))
 
+    @pytest.mark.parametrize("text,field,value,msg", [
+        ("[flow]\nt_end = nan\n", "t_end", math.nan, "t_end must be non-negative and finite, got nan"),
+        ("[flow]\nt_end = inf\n", "t_end", math.inf, "t_end must be non-negative and finite, got inf"),
+        ("[flow]\nt_end = -1\n", "t_end", -1.0, "t_end must be non-negative and finite, got -1.0"),
+        ("[varsolve]\nm_max = 0\n", "m_max", 0, "m_max must be at least 1, got 0"),
+    ])
+    def test_stage_limit_out_of_range(self, tmp_path, text, field, value, msg):
+        # each loaded, then failed mid-run after config.echo.cfg and the input
+        # images were written
+        p = tmp_path / "limit.cfg"
+        p.write_text("[experiment]\nname = x\n" + text)
+        with pytest.raises(ConfigError, match=f"^{re.escape(msg)}$"):
+            load_config(p)
+        with pytest.raises(ConfigError, match=f"^{re.escape(msg)}$"):
+            ExperimentConfig(**{field: value})
+        assert ExperimentConfig(t_end=0.0, m_max=1).m_max == 1
+
     @pytest.mark.parametrize("step", ["0", "nan", "-0.1", "4", "inf", "5e-324", "1e-300"])
     def test_angle_step_without_two_angles(self, tmp_path, step):
         # each failed only inside the run (ZeroDivisionError, NaN to int, or in

@@ -130,6 +130,31 @@ class TestEvolve:
         with pytest.raises(FlowError):
             evolve(f, FlowParams(axis=Axis.X1, k=1, p=2, q=2), np.inf)
 
+    @pytest.mark.parametrize("t_end,kwargs,msg", [
+        # each returned the input unchanged, ran to max_steps, or ran a step
+        # count other than the one given
+        (math.nan, dict(stop_residual=1.0), "t_end must be non-negative, got nan"),
+        (math.inf, dict(stop_residual=math.nan), "stop_residual must be non-negative, got nan"),
+        (1e-4, dict(stop_residual=-1.0), "stop_residual must be non-negative, got -1.0"),
+        (1e-4, dict(max_steps=-3), "max_steps must be a positive int, got -3"),
+        (1e-4, dict(max_steps=0), "max_steps must be a positive int, got 0"),
+        (1e-4, dict(max_steps=2.5), "max_steps must be a positive int, got 2.5"),
+    ])
+    def test_bad_stop_settings_rejected(self, t_end, kwargs, msg):
+        f = smooth_field(2)
+        with pytest.raises(FlowError, match=f"^{re.escape(msg)}$"):
+            evolve(f, FlowParams(axis=Axis.X1, k=1, p=2, q=2), t_end, **kwargs)
+
+    def test_capped_counts_the_steps_the_cap_set(self):
+        f = smooth_field(2)
+        params = FlowParams(axis=Axis.X1, k=1, p=2, q=2)
+        # a forced step far above the cap: the cap sets every dt but the
+        # last, which the remaining time sets
+        st_ = evolve(f, params, 1e-3, dt_override=1.0)
+        assert st_.steps > 2 and st_.capped == st_.steps - 1
+        assert evolve(f, params, 1e-3, dt_override=1.0, max_change=None).capped == 0
+        assert evolve(f, params, 1e-4, dt_override=1e-7).capped == 0
+
     @pytest.mark.parametrize("name", ["dt_override", "max_change"])
     @pytest.mark.parametrize("bad", [-1e-6, 0.0, -0.1, math.nan, math.inf])
     def test_step_settings_must_be_finite_and_positive(self, name, bad):
@@ -354,7 +379,9 @@ def _ref_evolve(u0, params, t_end, dt_override=None, stop_residual=None,
             base_dt = dt_override if dt_override is not None else _ref_stable_dt(state.u, params)
             dt = min(base_dt, t_end - state.t)
             if max_change is not None and res > 0 and u0range > 0:
-                dt = min(dt, max_change * u0range / res)
+                limit = max_change * u0range / res
+                state.capped += limit < dt
+                dt = min(dt, limit)
             new_values = state.u.values + dt * rhs.values
             if not np.all(np.isfinite(new_values)):
                 raise StabilityError(f"non-finite field after step {state.steps} (dt={dt:g})")
@@ -373,7 +400,7 @@ def _assert_same_run(f, params, **kwargs):
     assert new.truncated == (ref.steps == kwargs.get("max_steps") and ref.t < kwargs["t_end"])
     assert len(caught) == new.truncated
     assert np.array_equal(new.u.values, ref.u.values)
-    assert (new.t, new.steps, new.last_dt) == (ref.t, ref.steps, ref.last_dt)
+    assert (new.t, new.steps, new.last_dt, new.capped) == (ref.t, ref.steps, ref.last_dt, ref.capped)
     assert new.residuals == ref.residuals
     return new
 
@@ -453,6 +480,18 @@ class TestStepperReference:
             evolve(f, params, 1e-3)
         with pytest.raises(StabilityError, match="non-finite rhs at step 0"):
             _ref_evolve(f, params, 1e-3)
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_first_step_raises(self):
+        # a finite rhs whose forced step overflows the field
+        f = smooth_field(8)
+        params = FlowParams(axis=Axis.X1, k=1, p=2, q=2)
+        kwargs = dict(dt_override=1e308, max_change=None)
+        msg = r"^non-finite field after step 0 \(dt=1e\+308\)$"
+        with pytest.raises(StabilityError, match=msg):
+            evolve(f, params, 1e308, **kwargs)
+        with pytest.raises(StabilityError, match=msg):
+            _ref_evolve(f, params, 1e308, **kwargs)
 
     # an X1 flow steps each distinct column once and gathers the result back
     @staticmethod
