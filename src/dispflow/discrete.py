@@ -175,6 +175,8 @@ def block_assign_columns(
     """
     if M < 1:
         raise DiscreteError("M must be at least 1")
+    if k not in (1, 2):
+        raise DiscreteError("k must be 1 or 2")
     if M > img.n1:
         raise DiscreteError("M must not exceed the column count")
     v = img.values.copy()

@@ -29,6 +29,9 @@ from .flows import FlowParams, evolve
 from .grid import Axis, ScalarField
 from .metrics import MetricReport, interface_variance, metrics, strip_fwhm
 from .tomo import (
+    FILTERS,
+    MIN_SIZE,
+    VARIANTS,
     AngularPerturbation,
     Sinogram,
     TomoError,
@@ -123,16 +126,28 @@ class ExperimentConfig:
     korder: int = _setting("discrete", 1)
 
     def __post_init__(self):
-        if self.correction not in _STAGES:
-            raise ConfigError(f"unknown correction stage {self.correction!r}")
-        if self.input not in _INPUTS:
-            raise ConfigError(f"unknown input kind {self.input!r}")
-        for key in ("a", "noise", "t_end"):
-            # a NaN or inf here would otherwise run the clean pipeline or fail mid-run
+        # each check stands for a failure mid-run, after files were written,
+        # or for a setting run as another one
+        for what, value, names in (("correction stage", self.correction, _STAGES),
+                                   ("input kind", self.input, _INPUTS),
+                                   ("phantom variant", self.variant, VARIANTS),
+                                   ("filter", self.filter, FILTERS)):
+            if value not in names:
+                raise ConfigError(f"unknown {what} {value!r}")
+        for key in ("a", "noise", "t_end", "dx1", "dx2"):  # dx 0: ScalarField's 1/n
             if not 0 <= getattr(self, key) < math.inf:
                 raise ConfigError(f"{key} must be non-negative and finite, got {getattr(self, key)}")
-        if self.m_max < 1:
-            raise ConfigError(f"m_max must be at least 1, got {self.m_max}")
+        for key, value, low in (("m_max", self.m_max, 1), ("n", self.n, MIN_SIZE),
+                                ("n_out", self.n_out, MIN_SIZE),
+                                ("m", self.M, int(self.correction == "assign"))):  # jitter: M >= 0
+            if value < low:
+                raise ConfigError(f"{key} must be at least {low}, got {value}")
+        if self.korder not in (1, 2):
+            raise ConfigError(f"korder must be 1 or 2, got {self.korder}")
+        if self.input == "strip" and not 1 <= self.strip_width <= self.image_n - 2:
+            # a wider strip leaves no background row on one side: FWHM reads nan
+            raise ConfigError(f"strip_width must lie in [1, n - 2] = [1, {self.image_n - 2}], "
+                              f"got {self.strip_width}")
         try:
             angle_count(self.angle_step)
         except TomoError as exc:

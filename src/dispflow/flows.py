@@ -18,8 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import (Axis, GridError, ScalarField, diff_axis0_kernel, distinct_columns, row_pair,
-                   run_calls)
+from .grid import Axis, GridError, ScalarField, diff_axis0_kernel, distinct_columns, row_pair
 
 #: hard floor used in the CFL bound so a flat field never divides by zero
 DT_FLOOR = 1e-12
@@ -87,21 +86,22 @@ def _flow_layout(values: np.ndarray, params: FlowParams) -> np.ndarray:
 
 
 class _Workspace:
-    """One flow on one grid, in the flow layout: its buffers and, for each
-    field buffer it may read, that buffer's bound calls.
+    """One flow on one field array u, in the flow layout: its buffers and
+    bound calls.
 
     mob and rhs hold the mobility and the right-hand side; inner holds the
     k=1 face fluxes (n+1 rows) or the k=2 inner second difference, and
-    scratch the p=1 quotient's and CFL bound's temporaries.  calls[i] is
-    (step, cfl) for fields[i]: lists of bound ufunc calls (grid.run_calls)
-    whose views, 0-d scalar operands and variant branches (k, p, q, eps)
-    are all fixed here, so running them allocates nothing and tests no
-    setting.  step writes the mobility into mob, then the rhs into rhs;
-    cfl, run after it, writes the CFL bound's coefficient into coeff (mob
-    itself for p=2) using inner and scratch, not rhs."""
+    scratch the p=1 quotient's and CFL bound's temporaries.  step and cfl
+    are lists of bound ufunc calls, (function, positional arguments) pairs
+    run in order, whose views of u, 0-d scalar operands and variant
+    branches (k, p, q, eps) are all fixed here, so running them allocates
+    nothing, tests no setting and reads u's current values.  step writes
+    the mobility into mob, then the rhs into rhs; cfl, run after it, writes
+    the CFL bound's coefficient into coeff (mob itself for p=2) using inner
+    and scratch, not rhs."""
 
-    def __init__(self, fields, dx1: float, dx: float, params: FlowParams):
-        shape = fields[0].shape  # (n, m), or (n,) for one X1 column
+    def __init__(self, u: np.ndarray, dx1: float, dx: float, params: FlowParams):
+        shape = u.shape  # (n, m), or (n,) for one X1 column
         n = shape[0]
         self.mob, self.rhs = np.empty(shape), np.empty(shape)
         self.inner = np.empty((n + 1 if params.k == 1 else n,) + shape[1:])
@@ -110,21 +110,18 @@ class _Workspace:
         # dt = cfl * dx_i^(2k) / (2^(2k) * max(max coeff, floor)); see _stable_dt
         self.num, self.den = float(params.cfl * dx ** (2 * params.k)), 2 ** (2 * params.k)
         self.floor = max(params.eps, DT_FLOOR)
-        self.calls = [
-            (_mobility(v, dx1, params, self.mob) + _rhs(v, dx, params, self),
-             _stable_dt(v, dx, params, self))
-            for v in fields
-        ]
+        self.step = _mobility(u, dx1, params, self.mob) + _rhs(u, dx, params, self)
+        self.cfl = _stable_dt(u, dx, params, self)
 
-    def rhs_of(self, side: int) -> np.ndarray:
-        """The mobility of fields[side] into mob, then its rhs into rhs."""
-        for f, args in self.calls[side][0]:
+    def rhs_of(self) -> np.ndarray:
+        """The mobility of u into mob, then its rhs into rhs."""
+        for f, args in self.step:
             f(*args)
         return self.rhs
 
-    def stable_dt_of(self, side: int) -> float:
-        """The CFL bound at fields[side], from the mobility in mob."""
-        for f, args in self.calls[side][1]:
+    def stable_dt_of(self) -> float:
+        """The CFL bound at u, from the mobility in mob."""
+        for f, args in self.cfl:
             f(*args)
         return self.num / (self.den * max(float(np.maximum.reduce(self.coeff, None)), self.floor))
 
@@ -220,17 +217,17 @@ def flow_rhs(u: ScalarField, params: FlowParams) -> ScalarField:
     """Right-hand side of the flow evaluated with finite differences."""
     _check_shape(u.shape, params)
     v = _flow_layout(u.values, params)
-    ws = _Workspace((v,), u.dx1, u.spacing(params.axis), params)
-    return u.with_values(_flow_layout(ws.rhs_of(0), params))
+    ws = _Workspace(v, u.dx1, u.spacing(params.axis), params)
+    return u.with_values(_flow_layout(ws.rhs_of(), params))
 
 
 def stable_dt(u: ScalarField, params: FlowParams) -> float:
     """Parabolic CFL bound of the explicit step at u (see _stable_dt)."""
     _check_shape(u.shape, params)
     v = _flow_layout(u.values, params)
-    ws = _Workspace((v,), u.dx1, u.spacing(params.axis), params)
-    run_calls(_mobility(v, u.dx1, params, ws.mob))
-    return ws.stable_dt_of(0)
+    ws = _Workspace(v, u.dx1, u.spacing(params.axis), params)
+    ws.rhs_of()  # the mobility the CFL bound reads
+    return ws.stable_dt_of()
 
 
 def evolve(
@@ -262,16 +259,16 @@ def evolve(
     shares), so -0.0 and 0.0 stay apart.  An X2 flow couples its rows
     through the x1 mobility and steps the whole field.
 
-    The loop runs in one workspace allocated per call: two field buffers
-    that swap each step, in the flow layout (an X2 flow runs on the
-    contiguous transpose), and the buffers and bound calls of _Workspace,
-    so a step allocates no array, builds no view and tests no flow setting:
-    it is the ufunc calls of the mobility and the rhs, max |rhs| (which
-    must be finite), the CFL bound, the update u + dt * rhs and a check
-    that every sample of it is finite.  The result is gathered back to u0's
-    columns, or transposed back, once at the end.  It computes the
-    mobility once per step for both the rhs and the CFL bound and never
-    writes into u0.
+    The loop runs in one workspace allocated per call: one field buffer,
+    this call's own copy of u0 in the flow layout (an X2 flow runs on the
+    contiguous transpose), updated in place; one temporary; and the buffers
+    and calls of _Workspace, bound once, so a step allocates no array,
+    builds no view and tests no flow setting: it is the ufunc calls of the
+    mobility and the rhs, max |rhs| (which must be finite), the CFL bound,
+    the update u += dt * rhs and a check that every sample of u is finite.
+    The result is gathered back to u0's columns, or transposed back, once
+    at the end.  It computes the mobility once per step for both the rhs
+    and the CFL bound and never writes into u0.
 
     max_change additionally caps each step so no sample moves by more than
     that fraction of the initial dynamic range; the frozen-coefficient CFL
@@ -303,12 +300,12 @@ def evolve(
         u = u0.values[:, first[0]].copy() if first.size == 1 else np.take(u0.values, first, axis=1)
     else:
         u = np.array(u0.values.T, order="C")
-    nxt, finite = np.empty_like(u), np.empty(u.shape, dtype=bool)
-    ws = _Workspace((u, nxt), u0.dx1, u0.spacing(params.axis), params)
+    tmp, finite = np.empty_like(u), np.empty(u.shape, dtype=bool)
+    ws = _Workspace(u, u0.dx1, u0.spacing(params.axis), params)
     rhs_of, stable_dt_of = ws.rhs_of, ws.stable_dt_of
     absolute, multiply, add, isfinite = np.absolute, np.multiply, np.add, np.isfinite
     max_of, count, size = np.maximum.reduce, np.count_nonzero, u.size
-    t, steps, capped, last_dt, residuals, side = 0.0, 0, 0, 0.0, [], 0
+    t, steps, capped, last_dt, residuals = 0.0, 0, 0, 0.0, []
     u0range = float(np.max(u) - np.min(u))
     # the cap dt <= max_change * u0range / res, as its numerator; res is
     # finite and non-negative where it is compared, so -inf never stops
@@ -317,21 +314,20 @@ def evolve(
     # overflow in a wildly unstable step surfaces as StabilityError below
     with np.errstate(over="ignore", invalid="ignore"):
         while t < t_end and steps < max_steps:
-            rhs = rhs_of(side)  # one mobility per step, shared by the rhs and the CFL bound
-            res = float(max_of(absolute(rhs, nxt), None))  # NaN and inf propagate
+            rhs = rhs_of()  # one mobility per step, shared by the rhs and the CFL bound
+            res = float(max_of(absolute(rhs, tmp), None))  # NaN and inf propagate
             if not math.isfinite(res):
                 raise StabilityError(f"non-finite rhs at step {steps}")
             residuals.append(res)
             if res <= stop:
                 break
-            dt = min(stable_dt_of(side) if dt_override is None else dt_override, t_end - t)
+            dt = min(stable_dt_of() if dt_override is None else dt_override, t_end - t)
             if cap is not None and res > 0 and cap / res < dt:
                 dt, capped = cap / res, capped + 1
-            multiply(dt, rhs, nxt)
-            add(nxt, u, nxt)  # u + dt * rhs
-            if count(isfinite(nxt, finite)) < size:
+            multiply(dt, rhs, tmp)
+            add(u, tmp, u)  # u + dt * rhs, in place: u is this call's own copy
+            if count(isfinite(u, finite)) < size:
                 raise StabilityError(f"non-finite field after step {steps} (dt={dt:g})")
-            u, nxt, side = nxt, u, 1 - side
             t += dt
             steps += 1
             last_dt = dt

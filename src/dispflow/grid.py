@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import IntEnum
 from functools import lru_cache
@@ -26,7 +27,9 @@ class ScalarField:
     """Real-valued samples on a uniform cell-centered grid.
 
     values[i1, i2] is the sample at x1 = (i1 + 1/2) * dx1,
-    x2 = (i2 + 1/2) * dx2.  All values must be finite.
+    x2 = (i2 + 1/2) * dx2.  All values must be finite, and each spacing
+    non-negative and finite; a spacing of 0 (the default) is unset and
+    becomes 1/n along its axis.
     """
 
     values: np.ndarray
@@ -42,11 +45,12 @@ class ScalarField:
         if 0 in v.shape:
             raise GridError(f"expected a non-empty grid, got shape {v.shape}")
         object.__setattr__(self, "values", v)
-        # default spacing 1/n per axis (unit square)
-        if self.dx1 <= 0.0:
-            object.__setattr__(self, "dx1", 1.0 / v.shape[0])
-        if self.dx2 <= 0.0:
-            object.__setattr__(self, "dx2", 1.0 / v.shape[1])
+        for name, n in (("dx1", v.shape[0]), ("dx2", v.shape[1])):
+            dx = getattr(self, name)
+            if not 0.0 <= dx < math.inf:
+                raise GridError(f"{name} must be non-negative and finite, got {dx}")
+            if dx == 0.0:  # unset: spacing 1/n per axis (unit square)
+                object.__setattr__(self, name, 1.0 / n)
 
     @property
     def n1(self) -> int:
@@ -106,20 +110,14 @@ def distinct_columns(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 _D1_ENDS = ((-1.5, 0.5), (2.0, -2.0), (-0.5, 1.5))
 
 
-def run_calls(calls) -> None:
-    """Run a list of bound calls, (function, positional arguments) pairs, in
-    order."""
-    for f, args in calls:
-        f(*args)
-
-
 def diff_axis0_kernel(v: np.ndarray, dx: float, k: int, out: np.ndarray) -> list:
-    """The order-k difference along axis 0 of a raw 1-D or 2-D array v into out, as a
-    list of bound ufunc calls for run_calls: the one definition of the
-    stencils behind diff(), diff_matrix() and the flows' mobility.  Its views
-    of v and out, its scalars (0-d float64 arrays, the same IEEE operands as
-    Python floats) and its two end-row temporaries are built here, once, so
-    running it allocates nothing and reads v's current values.
+    """The order-k difference along axis 0 of a raw 1-D or 2-D array v into
+    out, as a list of bound ufunc calls, (function, positional arguments)
+    pairs run in order: the one definition of the stencils behind diff(),
+    diff_matrix() and the flows' mobility.  Its views of v and out, its
+    scalars (0-d float64 arrays, the same IEEE operands as Python floats)
+    and its two end-row temporaries are built here, once, so running it
+    allocates nothing and reads v's current values.
 
     Central second-order stencils in the interior, second-order one-sided
     stencils at the two boundary samples (exact on polynomials of degree
@@ -150,11 +148,12 @@ def diff_axis0_kernel(v: np.ndarray, dx: float, k: int, out: np.ndarray) -> list
             (sub, (e, p3, e)), (div, (e, h2, ends))]
 
 
-def diff_axis0(v: np.ndarray, dx: float, k: int, out: np.ndarray | None = None) -> np.ndarray:
-    """Order-k difference along axis 0 of a raw 2D array, written into out
-    (a new array if None); see diff_axis0_kernel."""
-    out = np.empty_like(v) if out is None else out
-    run_calls(diff_axis0_kernel(v, dx, k, out))
+def diff_axis0(v: np.ndarray, dx: float, k: int) -> np.ndarray:
+    """Order-k difference along axis 0 of a raw 2D array, as a new array;
+    see diff_axis0_kernel."""
+    out = np.empty_like(v)
+    for f, args in diff_axis0_kernel(v, dx, k, out):
+        f(*args)
     return out
 
 

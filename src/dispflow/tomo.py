@@ -38,14 +38,19 @@ _SL_INTENSITY = {
     "standard": [2.0, -0.98, -0.02, -0.02, 0.01, 0.01, 0.01, 0.01, 0.01, 0.01],
     "high-contrast": [1.0, -0.8, -0.2, -0.2, 0.1, 0.1, 0.1, 0.1, 0.1, 0.1],
 }
+#: the phantom variants and the FBP filters, by name
+VARIANTS = tuple(_SL_INTENSITY)
+FILTERS = ("ram-lak", "shepp-logan-filter", "none")
+#: the smallest side of a phantom or a reconstruction
+MIN_SIZE = 16
 
 
 def shepp_logan(n: int, variant: str = "high-contrast") -> ScalarField:
     """n x n rasterization of the ten-ellipse Shepp-Logan phantom."""
-    if variant not in _SL_INTENSITY:
+    if variant not in VARIANTS:
         raise TomoError(f"unknown phantom variant {variant!r}")
-    if n < 16:
-        raise TomoError("phantom size must be at least 16")
+    if n < MIN_SIZE:
+        raise TomoError(f"phantom size must be at least {MIN_SIZE}")
     c = (np.arange(n) + 0.5) * (2.0 / n) - 1.0
     X, Y = np.meshgrid(c, c, indexing="ij")
     img = np.zeros((n, n))
@@ -379,16 +384,15 @@ def radon_perturbed(
 
 
 def _ramp_filter(n_pad: int, dl: float, kind: str) -> np.ndarray:
+    """The frequency response of the filter kind, one of FILTERS."""
+    if kind == "none":
+        return np.ones(n_pad)
     freq = np.fft.fftfreq(n_pad, d=dl)
     ramp = np.abs(freq)
-    if kind == "ram-lak":
-        return ramp
     if kind == "shepp-logan-filter":
         nyq = 0.5 / dl
         return ramp * np.sinc(freq / (2.0 * nyq))
-    if kind == "none":
-        return np.ones(n_pad)
-    raise TomoError(f"unknown filter {kind!r}")
+    return ramp
 
 
 def fbp(
@@ -404,8 +408,10 @@ def fbp(
     be finite); the default uses the sinogram's own labels.  Only the
     pixels of the inscribed unit disk (the region covered by every
     projection) are backprojected; the others are 0."""
-    if n_out < 16:
-        raise TomoError("output size must be at least 16")
+    if n_out < MIN_SIZE:
+        raise TomoError(f"output size must be at least {MIN_SIZE}")
+    if filter not in FILTERS:
+        raise TomoError(f"unknown filter {filter!r}")
     if len(s.angles) < 2:
         raise TomoError("need at least two angles for reconstruction")
     bp_angles = (

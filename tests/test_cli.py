@@ -105,6 +105,15 @@ class TestFlowVerb:
                  f"--out={tmp_path / 'o.csv'}")
         assert rc != 0
 
+    def test_bad_spacing_is_one_line(self, tmp_path, capsys):
+        # read as dx1 = 1/3 and dx2 = nan, and the flow exited 0
+        src, out = tmp_path / "s.csv", tmp_path / "o.csv"
+        src.write_text("# dispflow spacing -1 nan\n1,2\n3,4\n5,6\n")
+        assert run("flow", f"--in={src}", "--t-end=1e-3", f"--out={out}") == 1
+        assert capsys.readouterr().err == (
+            "dispflow: error: dx1 must be non-negative and finite, got -1.0\n")
+        assert not out.exists()
+
     def test_unknown_axis_rejected(self, tmp_path, capsys):
         src = tmp_path / "in.csv"
         src.write_text("1,2\n3,4\n")
@@ -220,6 +229,14 @@ class TestDiscreteVerbs:
         lines = sh.read_text().strip().split("\n")
         assert lines[0] == "index,shift"
 
+    def test_assign_bad_order_is_one_line(self, tmp_path, capsys):
+        # ran as k = 2 and exited 0
+        src, out = tmp_path / "p.csv", tmp_path / "a.csv"
+        assert run("perturb", "--n=32", "--angle-step=pi/24", f"--out={src}") == 0
+        assert run("assign", f"--in={src}", "--korder=3", f"--out={out}") == 1
+        assert capsys.readouterr().err == "dispflow: error: korder must be 1 or 2, got 3\n"
+        assert not out.exists()
+
 
 class TestFBPAndMetrics:
     def test_fbp_round_trip(self, tmp_path):
@@ -321,6 +338,19 @@ class TestTopLevel:
         ("[flow]\nt_end = inf\n", "t_end must be non-negative and finite, got inf"),
         ("[flow]\nt_end = -1\n", "t_end must be non-negative and finite, got -1.0"),
         ("[varsolve]\nm_max = 0\n", "m_max must be at least 1, got 0"),
+        ("[tomo]\nfilter = foo\n", "unknown filter 'foo'"),
+        ("[tomo]\nn_out = 8\n", "n_out must be at least 16, got 8"),
+        ("[tomo]\nn = 8\n", "n must be at least 16, got 8"),
+        ("[tomo]\nvariant = foo\n", "unknown phantom variant 'foo'"),
+        ("correction = assign\n[discrete]\nm = 0\n", "m must be at least 1, got 0"),
+        ("[discrete]\nkorder = 3\n", "korder must be 1 or 2, got 3"),
+        ("input = strip\n[image]\nstrip_width = 100\n",
+         "strip_width must lie in [1, n - 2] = [1, 62], got 100"),
+        ("input = strip\n[image]\nstrip_width = 0\n",
+         "strip_width must lie in [1, n - 2] = [1, 62], got 0"),
+        ("[image]\ndx1 = -0.1\n", "dx1 must be non-negative and finite, got -0.1"),
+        ("[image]\ndx1 = nan\n", "dx1 must be non-negative and finite, got nan"),
+        ("[image]\ndx1 = inf\n", "dx1 must be non-negative and finite, got inf"),
     ])
     def test_experiment_bad_config_is_one_line(self, tmp_path, capsys, text, msg):
         cfg = tmp_path / "bad.cfg"

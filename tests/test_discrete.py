@@ -197,6 +197,13 @@ class TestBlockAssign:
         with pytest.raises(DiscreteError):
             block_assign_columns(f, M=9)
 
+    @pytest.mark.parametrize("k", [0, 3])
+    def test_invalid_order(self, k):
+        # both ran as k = 2
+        f = ScalarField(np.random.default_rng(0).standard_normal((8, 4)))
+        with pytest.raises(DiscreteError, match="^k must be 1 or 2$"):
+            block_assign_columns(f, 4, k)
+
     @given(st.integers(0, 20))
     @settings(max_examples=15, deadline=None)
     def test_cost_monotone_random(self, seed):

@@ -94,6 +94,38 @@ class TestLoadConfig:
             ExperimentConfig(**{field: value})
         assert ExperimentConfig(t_end=0.0, m_max=1).m_max == 1
 
+    @pytest.mark.parametrize("text,msg", [
+        # each failed mid-run, after config.echo.cfg and other files were written
+        ("[tomo]\nfilter = foo\n", "unknown filter 'foo'"),
+        ("[tomo]\nn_out = 8\n", "n_out must be at least 16, got 8"),
+        ("[tomo]\nn = 8\n", "n must be at least 16, got 8"),
+        ("[tomo]\nvariant = foo\n", "unknown phantom variant 'foo'"),
+        ("correction = assign\n[discrete]\nm = 0\n", "m must be at least 1, got 0"),
+        ("correction = jitter\n[discrete]\nm = -1\n", "m must be at least 0, got -1"),
+        ("[image]\ndx1 = nan\n", "dx1 must be non-negative and finite, got nan"),
+        # each ran as another setting: k = 2, a spacing of 1/n, a flow that
+        # moves nothing, or a strip whose FWHM reads nan
+        ("[discrete]\nkorder = 3\n", "korder must be 1 or 2, got 3"),
+        ("[image]\ndx1 = -0.1\n", "dx1 must be non-negative and finite, got -0.1"),
+        ("[image]\ndx2 = inf\n", "dx2 must be non-negative and finite, got inf"),
+        ("input = strip\n[image]\nstrip_width = 100\n",
+         "strip_width must lie in [1, n - 2] = [1, 62], got 100"),
+        ("input = strip\n[image]\nn = 32\nstrip_width = 0\n",
+         "strip_width must lie in [1, n - 2] = [1, 30], got 0"),
+    ])
+    def test_setting_out_of_range(self, tmp_path, text, msg):
+        p = tmp_path / "range.cfg"
+        p.write_text("[experiment]\nname = x\n" + text)
+        with pytest.raises(ConfigError, match=f"^{re.escape(msg)}$"):
+            load_config(p)
+
+    def test_setting_range_ends_are_accepted(self):
+        cfg = ExperimentConfig(input="strip", image_n=32, strip_width=30, n=16, korder=2,
+                               correction="jitter", M=0, dx1=0.0, dx2=1e300)
+        assert (cfg.n_out, cfg.filter, cfg.variant) == (128, "ram-lak", "high-contrast")
+        assert ExperimentConfig(input="strip", strip_width=1, correction="assign", M=1).M == 1
+        assert ExperimentConfig(input="interface", strip_width=100).strip_width == 100  # unused
+
     @pytest.mark.parametrize("step", ["0", "nan", "-0.1", "4", "inf", "5e-324", "1e-300"])
     def test_angle_step_without_two_angles(self, tmp_path, step):
         # each failed only inside the run (ZeroDivisionError, NaN to int, or in

@@ -253,19 +253,23 @@ class TestEvolve:
     @pytest.mark.parametrize("axis", list(Axis))
     @pytest.mark.parametrize("k", [1, 2])
     def test_never_writes_input_nor_shares_it(self, k, axis):
-        # the loop swaps two buffers: its result lands in either one
-        # depending on the parity of the step count, or in the first copy
-        # when no step runs
-        f = rough_field(20 + k + int(axis))
-        before = f.values.copy()
-        f.values.flags.writeable = False  # a write raises instead of passing silently
+        # the loop updates one field buffer in place, its own copy of the
+        # input: for X1 one column as a 1-D array when all columns are
+        # equal, else the distinct columns; for X2 the transpose.  The
+        # result is gathered from that buffer, also when no step runs
+        base = rough_field(20 + k + int(axis))
         params = FlowParams(axis=axis, k=k, p=2, q=2)
-        for t_end, max_steps in ((0.0, 10), (1.0, 1), (1.0, 2), (1.0, 3)):
-            st_ = evolve(f, params, t_end, max_steps=max_steps)
-            assert st_.steps == (max_steps if t_end else 0)
-            assert not np.shares_memory(st_.u.values, f.values)
-            assert np.array_equal(f.values, before)
-            assert np.array_equal(st_.u.values, _ref_evolve(f, params, t_end, max_steps=max_steps).u.values)
+        for columns in (slice(None), [3] * 11, [2, 0, 2, 5, 0, 0, 2]):  # distinct, equal, repeated
+            f = base.with_values(base.values[:, columns].copy())
+            before = f.values.copy()
+            f.values.flags.writeable = False  # a write raises instead of passing silently
+            for t_end, max_steps in ((0.0, 10), (1.0, 1), (1.0, 2), (1.0, 3)):
+                st_ = evolve(f, params, t_end, max_steps=max_steps)
+                assert st_.steps == (max_steps if t_end else 0)
+                assert not np.shares_memory(st_.u.values, f.values)
+                assert np.array_equal(f.values, before)
+                ref = _ref_evolve(f, params, t_end, max_steps=max_steps)
+                assert np.array_equal(st_.u.values, ref.u.values)
 
     @pytest.mark.parametrize(
         "shape,axis,k,p",

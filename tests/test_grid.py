@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -39,6 +41,19 @@ class TestScalarField:
             ScalarField(np.array([[1.0, np.nan], [0.0, 1.0]]))
         with pytest.raises(GridError):
             ScalarField(np.array([[1.0, np.inf], [0.0, 1.0]]))
+
+    @pytest.mark.parametrize("dx1,dx2,msg", [
+        (-1.0, 0.1, "dx1 must be non-negative and finite, got -1.0"),
+        (0.1, -0.5, "dx2 must be non-negative and finite, got -0.5"),
+        (np.nan, 0.1, "dx1 must be non-negative and finite, got nan"),
+        (0.1, np.nan, "dx2 must be non-negative and finite, got nan"),
+        (np.inf, 0.1, "dx1 must be non-negative and finite, got inf"),
+        (0.1, -np.inf, "dx2 must be non-negative and finite, got -inf"),
+    ])
+    def test_rejects_negative_or_non_finite_spacing(self, dx1, dx2, msg):
+        # a negative spacing was read as unset (1/n); NaN and inf were kept
+        with pytest.raises(GridError, match=f"^{re.escape(msg)}$"):
+            ScalarField(np.zeros((3, 4)), dx1, dx2)
 
     def test_rejects_1d(self):
         with pytest.raises(GridError):

@@ -12,7 +12,7 @@ from dispflow.fileio import (
     write_image,
     write_pgm,
 )
-from dispflow.grid import ScalarField
+from dispflow.grid import GridError, ScalarField
 
 
 class TestPGM:
@@ -82,6 +82,12 @@ class TestPGM:
             read_pgm(self._with_comment(tmp_path / "c.pgm", comment))
         assert "\n" not in str(info.value) and comment.decode() in str(info.value)
 
+    def test_rejects_negative_spacing(self, tmp_path):
+        # read as unset: the file gave spacing 1/n
+        p = self._with_comment(tmp_path / "s.pgm", b"# dispflow range 0.0 1.0 spacing 0.1 -0.1")
+        with pytest.raises(GridError, match=r"^dx2 must be non-negative and finite, got -0\.1$"):
+            read_pgm(p)
+
     def test_rejects_unterminated_comment(self, tmp_path):
         p = tmp_path / "u.pgm"
         p.write_bytes(b"P5\n# no end of line")
@@ -128,6 +134,16 @@ class TestCSV:
         with pytest.raises(FormatError, match="^malformed dispflow comment in CSV header: ") as info:
             read_csv(p)
         assert str(info.value).endswith(repr(header))
+
+    def test_rejects_negative_or_non_finite_spacing(self, tmp_path):
+        # read as dx1 = 1/3 and dx2 = nan, and a flow on it ran
+        p = tmp_path / "s.csv"
+        p.write_text("# dispflow spacing -1 nan\n1,2\n3,4\n5,6\n")
+        with pytest.raises(GridError, match=r"^dx1 must be non-negative and finite, got -1\.0$"):
+            read_csv(p)
+        p.write_text("# dispflow spacing 1 nan\n1,2\n3,4\n5,6\n")
+        with pytest.raises(GridError, match=r"^dx2 must be non-negative and finite, got nan$"):
+            read_csv(p)
 
     def test_single_row(self, tmp_path):
         p = tmp_path / "row.csv"
