@@ -18,6 +18,9 @@ metric's `bound` there, a share of BASE's median:
   exceeds the bound and not every CHANGE run beats every BASE run, since
   runs that spread that widely cannot show that the metric held;
 - otherwise `within bound`.
+Next to it, a gain verdict: `gain shown` if CHANGE won at least 9 of every
+10 pairs (ties count for neither) and its median beats BASE's by more than
+BASE's interquartile spread, else `no gain shown`.
 It only calls the benchmark; nothing under either checkout is written
 apart from what the benchmark itself writes and deletes.
 """
@@ -99,11 +102,12 @@ def main(argv=None) -> int:
         c1, c2, c3 = quartiles(change)
         sign = 1.0 if direction == "lower" else -1.0
         wins = sum(sign * (b - c) > 0 for b, c in zip(base, change))
+        gain = 10 * wins >= 9 * args.n and sign * (b2 - c2) > b3 - b1
         print(f"{name}: base {b2:.4g} [{b1:.4g}-{b3:.4g}]  change {c2:.4g} [{c1:.4g}-{c3:.4g}]  "
               f"{100.0 * (c2 - b2) / b2:+.1f}%  change better in {wins}/{args.n}  "
               f"median gap {abs(c2 - b2):.4g} vs base IQR {b3 - b1:.4g}  "
               f"{verdict(base, change, direction, metric['bound'])} "
-              f"({100.0 * metric['bound']:.0f}%)")
+              f"({100.0 * metric['bound']:.0f}%), {'gain shown' if gain else 'no gain shown'}")
     return 0
 
 

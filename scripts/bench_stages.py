@@ -20,13 +20,16 @@ then `radon_perturbed` and `fbp` once more at the larger size n = 256,
 The explicit flow stepper is timed on its own inputs: `fig2_flow` and
 `fig3_flow` evolve the input images of configs/fig2.cfg and fig3.cfg
 under their [flow] settings, and three per-step times, in microseconds,
-are each the best time of a run over its step count: `strip_step_us`,
+are each the median, over N fresh interpreters, of one run's time over its
+step count (each interpreter runs it once untimed first): `strip_step_us`,
 acceptance criterion 3's (k, p, q) = (2, 2, 2) strip (64 x 4, amplitude
 1e4, dx 0.1) run to t_end = 5e-11 (about 4,400 steps);
 `strip_step_p1_us`, its (2, 1, 2) strip (beta = 1e-2) run to the
 criterion's t_end = 1e-6 (about 280 steps); and `interface_step_us`,
 criterion 4's (1, 2, 2) X2 flow on its 32 x 12 curved interface (dx 1)
-run to t_end = 8e3 (about 4,000 steps).  Each stage runs N times
+run to t_end = 8e3 (about 4,000 steps).  A best of N in one process
+spreads up to 2x between rounds on a shared machine; a median over
+processes samples the load N times.  Every other stage runs N times
 (default 5) in this process; the best time, in milliseconds unless the
 name says otherwise, is printed with the settings as one JSON line,
 together with `distinct_columns` and `noisy_distinct_columns`, the number
@@ -61,6 +64,7 @@ import argparse  # noqa: E402
 import glob  # noqa: E402
 import json  # noqa: E402
 import math  # noqa: E402
+import statistics  # noqa: E402
 import subprocess  # noqa: E402
 import sys  # noqa: E402
 import time  # noqa: E402
@@ -131,15 +135,45 @@ print(t, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, scipy)
 """
 
 
+STEP_CHILD = """
+import sys, time
+sys.path[:0] = sys.argv[1:3]
+import bench_stages
+run = bench_stages.step_runs()[sys.argv[3]]
+steps = bench_stages.evolve(*run).steps
+t0 = time.perf_counter()
+bench_stages.evolve(*run)
+print(1e6 * (time.perf_counter() - t0) / steps)
+"""
+
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(dispflow.__file__)))
+
+
+def children(repeat: int, *cmd) -> list:
+    """The whitespace-split output of repeat fresh interpreters running
+    `python -c *cmd`, one after another."""
+    return [subprocess.run([sys.executable, "-c", *cmd], capture_output=True, text=True,
+                           check=True).stdout.split() for _ in range(repeat)]
+
+
+def step_runs() -> dict:
+    """{name: (field, params, t_end)} of the per-step rows (see the module doc)."""
+    strip = np.zeros((64, 4))
+    strip[29:34] = 1e4  # criterion 3's strip: width 5, centred
+    strip = ScalarField(strip, 0.1, 0.1)
+    i1, x2 = np.arange(32)[:, None], np.arange(12)[None, :]
+    s = 0.5 * 32 + 0.12 * 32 * np.sin(2 * math.pi * x2 / 11)  # criterion 4's interface
+    interface = ScalarField(np.clip((i1 - s) / 4.0 + 0.5, 0.0, 1.0), 1.0, 1.0)
+    return {
+        "strip_step_us": (strip, FlowParams(axis=Axis.X1, k=2, p=2, q=2), 5e-11),
+        "strip_step_p1_us": (strip, FlowParams(axis=Axis.X1, k=2, p=1, q=2, beta=1e-2), 1e-6),
+        "interface_step_us": (interface, FlowParams(axis=Axis.X2, k=1, p=2, q=2), 8e3),
+    }
+
+
 def cold_start(repeat: int) -> dict:
-    src = os.path.dirname(os.path.dirname(os.path.abspath(dispflow.__file__)))
-
-    def children(*cmd):
-        return [subprocess.run([sys.executable, "-c", *cmd], capture_output=True, text=True,
-                               check=True).stdout.split() for _ in range(repeat)]
-
-    runs = children(IMPORT_CHILD, src)
-    steps = children(CONVEX_CHILD, src, str(N), str(N_ANGLES), str(SEED), repr(A))
+    runs = children(repeat, IMPORT_CHILD, SRC)
+    steps = children(repeat, CONVEX_CHILD, SRC, str(N), str(N_ANGLES), str(SEED), repr(A))
     return {
         "import_ms": round(1e3 * min(float(t) for t, _ in runs), 3),
         "import_rss_mb": round(min(int(kb) for _, kb in runs) / 1024.0, 3),
@@ -195,26 +229,15 @@ def main(argv=None) -> int:
         stages[name + "_flow"] = lambda cfg=cfg, f0=f0: evolve(f0, cfg.flow, cfg.t_end)
     stages.update(tomo_stages(LARGE_N, LARGE_ANGLES, f"_{LARGE_N}x{LARGE_ANGLES}")[1])
 
-    strip = np.zeros((64, 4))
-    strip[29:34] = 1e4  # criterion 3's strip: width 5, centred
-    strip = ScalarField(strip, 0.1, 0.1)
-    i1, x2 = np.arange(32)[:, None], np.arange(12)[None, :]
-    s = 0.5 * 32 + 0.12 * 32 * np.sin(2 * math.pi * x2 / 11)  # criterion 4's interface
-    interface = ScalarField(np.clip((i1 - s) / 4.0 + 0.5, 0.0, 1.0), 1.0, 1.0)
-    step_runs = {  # name: (field, params, t_end)
-        "strip_step_us": (strip, FlowParams(axis=Axis.X1, k=2, p=2, q=2), 5e-11),
-        "strip_step_p1_us": (strip, FlowParams(axis=Axis.X1, k=2, p=1, q=2, beta=1e-2), 1e-6),
-        "interface_step_us": (interface, FlowParams(axis=Axis.X2, k=1, p=2, q=2), 8e3),
-    }
-
     out = {"n": N, "angles": N_ANGLES, "seed": SEED, "repeat": args.repeat, "unit": "ms",
            "distinct_columns": len(distinct_columns(v.values)[0]),
            "noisy_distinct_columns": len(distinct_columns(noisy.values)[0])}
     out.update(cold_start(args.repeat))
     out.update({name: round(best_ms(fn, args.repeat), 3) for name, fn in stages.items()})
-    for name, run in step_runs.items():
-        steps = evolve(*run).steps
-        out[name] = round(1e3 * best_ms(lambda: evolve(*run), args.repeat) / steps, 3)
+    scripts = os.path.dirname(os.path.abspath(__file__))
+    for name in step_runs():
+        times = children(args.repeat, STEP_CHILD, scripts, SRC, name)
+        out[name] = round(statistics.median(float(t) for t, in times), 3)
     print(json.dumps(out))
     return 0
 

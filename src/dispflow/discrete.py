@@ -53,6 +53,25 @@ def shift_line(v: np.ndarray, s: int) -> np.ndarray:
     return out
 
 
+def check_jitter_bound(M: int, n1: int):
+    """jitter_correct_rows' limits on M for rows of n1 samples: each row
+    shifts by at most M within its samples, so 0 <= M < n1."""
+    if M < 0:
+        raise DiscreteError("M must be non-negative")
+    if M >= n1:
+        raise DiscreteError(
+            f"M must be smaller than the field's samples along x1, n1 = {n1}, got {M}")
+
+
+def check_assign_bound(M: int, n1: int):
+    """block_assign_columns' limits on M for n1 columns: it reorders blocks
+    of M columns, so 1 <= M <= n1."""
+    if M < 1:
+        raise DiscreteError("M must be at least 1")
+    if M > n1:
+        raise DiscreteError(f"M must not exceed the field's samples along x1, n1 = {n1}, got {M}")
+
+
 def _candidate_shifts(M: int):
     # ties break toward smaller |s|, then toward negative s
     return sorted(range(-M, M + 1), key=lambda s: (abs(s), s))
@@ -73,12 +92,9 @@ def jitter_correct_rows(
     one candidate at a time, their costs come from one stacked product,
     and they are scanned in _candidate_shifts order with one tie rule.
     """
-    if M < 0:
-        raise DiscreteError("M must be non-negative")
+    check_jitter_bound(M, img.n1)
     if k not in (1, 2):
         raise DiscreteError("k must be 1 or 2")
-    if M >= img.n1:
-        raise DiscreteError("M must be smaller than the row length")
     v = img.values
     n_rows = img.n2
     out = np.empty_like(v)
@@ -173,12 +189,9 @@ def block_assign_columns(
     table of row distances per block), and the tie margin from the full
     cost once per round.
     """
-    if M < 1:
-        raise DiscreteError("M must be at least 1")
+    check_assign_bound(M, img.n1)
     if k not in (1, 2):
         raise DiscreteError("k must be 1 or 2")
-    if M > img.n1:
-        raise DiscreteError("M must not exceed the column count")
     v = img.values.copy()
     n = img.n1
     perm = np.arange(n)

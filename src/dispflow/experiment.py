@@ -23,10 +23,16 @@ from dataclasses import dataclass, field, fields, is_dataclass
 
 import numpy as np
 
-from .discrete import block_assign_columns, jitter_correct_rows
+from .discrete import (
+    DiscreteError,
+    block_assign_columns,
+    check_assign_bound,
+    check_jitter_bound,
+    jitter_correct_rows,
+)
 from .fileio import write_csv, write_image
-from .flows import FlowParams, evolve
-from .grid import Axis, ScalarField
+from .flows import FlowParams, check_shape, evolve
+from .grid import Axis, GridError, ScalarField
 from .metrics import MetricReport, interface_variance, metrics, strip_fwhm
 from .tomo import (
     FILTERS,
@@ -37,6 +43,7 @@ from .tomo import (
     TomoError,
     angle_count,
     angle_grid,
+    default_offsets,
     fbp,
     radon,
     radon_perturbed,
@@ -151,6 +158,23 @@ class ExperimentConfig:
         try:
             angle_count(self.angle_step)
         except TomoError as exc:
+            raise ConfigError(str(exc)) from None
+
+    def check_stage_input(self):
+        """The correction stage's own rules on the shape of the field
+        run_experiment gives it (_stage_input_shape): flows.check_shape for
+        a flow, the M bounds of discrete for jitter and assign.  Not part of
+        __post_init__: the CLI's correction verbs build this config for a
+        field read from a file, whose shape it does not know, and meet the
+        same rules before they write."""
+        shape = _stage_input_shape(self)
+        try:
+            if self.correction == "flow":
+                check_shape(shape, self.flow)
+            elif self.correction in ("jitter", "assign"):
+                bound = check_jitter_bound if self.correction == "jitter" else check_assign_bound
+                bound(self.M, shape[0])
+        except (GridError, DiscreteError) as exc:
             raise ConfigError(str(exc)) from None
 
 
@@ -305,25 +329,38 @@ def _run_image_experiment(cfg: ExperimentConfig, outdir: str) -> MetricReport:
 
 
 def jittered_sinogram(
-    ph: ScalarField, angles: np.ndarray, a: float, noise: float, seed: int
+    ph: ScalarField, angles: np.ndarray, a: float, noise: float, seed: int,
+    n_offsets: int | None = None,
 ) -> tuple[Sinogram, AngularPerturbation]:
     """Sinogram of ph at angles + d, d ~ Uniform[0, a] drawn from seed, plus
     Gaussian noise of standard deviation noise * max |clean sinogram|
-    (seeded by seed too), with the perturbation it used."""
+    (seeded by seed too), with the perturbation it used; n_offsets detector
+    offsets (None: tomo.default_offsets' count for ph)."""
     if not 0 <= noise < math.inf:  # NaN would drop the noise
         raise TomoError(f"noise must be non-negative and finite, got {noise}")
     pert = sample_uniform_displacement(angles, a, seed)
     sigma = 0.0
     if noise > 0:
         sigma = noise * float(np.abs(radon(ph, angles).field.values).max())
-    return radon_perturbed(ph, angles, None, pert, sigma, seed), pert
+    return radon_perturbed(ph, angles, n_offsets, pert, sigma, seed), pert
+
+
+def _stage_input_shape(cfg: ExperimentConfig) -> tuple[int, int]:
+    """The shape of the field run_experiment hands the correction stage:
+    image_n x image_n for an image input; for a tomography input the
+    sinogram's angle_count(angle_step) rows by the detector offset count
+    that _run_tomo_experiment passes to the projector."""
+    if cfg.input in ("strip", "interface"):
+        return cfg.image_n, cfg.image_n
+    return angle_count(cfg.angle_step), default_offsets(cfg.n).size
 
 
 def _run_tomo_experiment(cfg: ExperimentConfig, outdir: str) -> MetricReport:
     ph = shepp_logan(cfg.n, cfg.variant)
     write_image(os.path.join(outdir, "phantom.pgm"), ph)
     angles = angle_grid(cfg.angle_step)
-    sino, pert = jittered_sinogram(ph, angles, cfg.a, cfg.noise, cfg.seed)
+    n_offsets = _stage_input_shape(cfg)[1]
+    sino, pert = jittered_sinogram(ph, angles, cfg.a, cfg.noise, cfg.seed, n_offsets)
     if cfg.a > 0 or cfg.noise > 0:
         with open(os.path.join(outdir, "displacement.csv"), "w") as fh:
             fh.write("index,displacement\n")
@@ -358,7 +395,10 @@ def run_experiment(cfg: ExperimentConfig, outdir: str | None = None) -> MetricRe
 
     Deterministic for a fixed config: all randomness flows through the
     config seed.  Returns the final MetricReport (also written as CSV).
+    A field too small for the correction stage is a ConfigError before
+    anything is written (ExperimentConfig.check_stage_input).
     """
+    cfg.check_stage_input()
     outdir = outdir or cfg.outdir
     os.makedirs(outdir, exist_ok=True)
     _echo_config(cfg, outdir)

@@ -23,6 +23,13 @@ from .grid import Axis, GridError, ScalarField, diff_axis0_kernel, distinct_colu
 #: hard floor used in the CFL bound so a flat field never divides by zero
 DT_FLOOR = 1e-12
 
+#: evolve scans its field for non-finite samples only once its running
+#: bound max |u0| + sum(dt * max |rhs|) on max |u| reaches this (or is NaN).
+#: Below it every sample is finite: rounding can put max |u| above the bound
+#: by a factor (1 + 2**-53) ** (4 * steps) at most, and the factor 1.8e8
+#: from 1e300 to overflow leaves room for over 1e16 steps.
+SCAN_FROM = 1e300
+
 
 class FlowError(ValueError):
     pass
@@ -67,7 +74,7 @@ class FlowState:
     capped: int = 0  # steps whose dt the max_change cap set
 
 
-def _check_shape(shape, params: FlowParams):
+def check_shape(shape, params: FlowParams):
     """The mobility needs 3 samples along X1; the flow stencils need 2 along
     the flow axis, and the p=1 CFL bound's order-k difference 2k+1."""
     need = [3, 1]
@@ -92,7 +99,7 @@ class _Workspace:
     mob and rhs hold the mobility and the right-hand side; inner holds the
     k=1 face fluxes (n+1 rows) or the k=2 inner second difference, and
     scratch the p=1 quotient's and CFL bound's temporaries.  step and cfl
-    are lists of bound ufunc calls, (function, positional arguments) pairs
+    are lists of bound calls, (function, positional arguments) pairs
     run in order, whose views of u, 0-d scalar operands and variant
     branches (k, p, q, eps) are all fixed here, so running them allocates
     nothing, tests no setting and reads u's current values.  step writes
@@ -215,7 +222,7 @@ def _stable_dt(v: np.ndarray, dx: float, params: FlowParams, ws: _Workspace) -> 
 
 def flow_rhs(u: ScalarField, params: FlowParams) -> ScalarField:
     """Right-hand side of the flow evaluated with finite differences."""
-    _check_shape(u.shape, params)
+    check_shape(u.shape, params)
     v = _flow_layout(u.values, params)
     ws = _Workspace(v, u.dx1, u.spacing(params.axis), params)
     return u.with_values(_flow_layout(ws.rhs_of(), params))
@@ -223,7 +230,7 @@ def flow_rhs(u: ScalarField, params: FlowParams) -> ScalarField:
 
 def stable_dt(u: ScalarField, params: FlowParams) -> float:
     """Parabolic CFL bound of the explicit step at u (see _stable_dt)."""
-    _check_shape(u.shape, params)
+    check_shape(u.shape, params)
     v = _flow_layout(u.values, params)
     ws = _Workspace(v, u.dx1, u.spacing(params.axis), params)
     ws.rhs_of()  # the mobility the CFL bound reads
@@ -263,12 +270,18 @@ def evolve(
     this call's own copy of u0 in the flow layout (an X2 flow runs on the
     contiguous transpose), updated in place; one temporary; and the buffers
     and calls of _Workspace, bound once, so a step allocates no array,
-    builds no view and tests no flow setting: it is the ufunc calls of the
-    mobility and the rhs, max |rhs| (which must be finite), the CFL bound,
-    the update u += dt * rhs and a check that every sample of u is finite.
-    The result is gathered back to u0's columns, or transposed back, once
-    at the end.  It computes the mobility once per step for both the rhs
-    and the CFL bound and never writes into u0.
+    builds no view and tests no flow setting.  A step runs the bound calls
+    of the mobility and the rhs, max |rhs| (which must be finite), the CFL
+    bound's calls and formula, and the update u += dt * rhs.  In those
+    calls a one-column X1 field's stencil boundary rows are one call in
+    Python floats (grid.diff_axis0_kernel).  The step scans u for
+    non-finite samples only once the running bound
+    max |u0| + sum(dt * max |rhs|) reaches SCAN_FROM: below it no sample
+    can have overflowed, so a StabilityError comes at the step, and with
+    the message, of a scan after every step.  The result is gathered back
+    to u0's columns, or transposed back, once at the end.  It computes the
+    mobility once per step for both the rhs and the CFL bound and never
+    writes into u0.
 
     max_change additionally caps each step so no sample moves by more than
     that fraction of the initial dynamic range; the frozen-coefficient CFL
@@ -292,7 +305,7 @@ def evolve(
         raise FlowError(f"dt_override must be finite and positive, got {dt_override}")
     if max_change is not None and not 0 < max_change < math.inf:
         raise FlowError(f"max_change must be finite and positive, got {max_change}")
-    _check_shape(u0.shape, params)
+    check_shape(u0.shape, params)
     if params.axis == Axis.X1:
         first, lines = distinct_columns(u0.values)
         # one distinct column steps as a 1-D array, whose strided row pairs
@@ -311,6 +324,8 @@ def evolve(
     # finite and non-negative where it is compared, so -inf never stops
     cap = max_change * u0range if max_change is not None and u0range > 0 else None
     stop = -math.inf if stop_residual is None else stop_residual
+    # max |u0| + the sum of dt * max |rhs| bounds max |u| (see SCAN_FROM)
+    bound = float(max_of(absolute(u, tmp), None))
     # overflow in a wildly unstable step surfaces as StabilityError below
     with np.errstate(over="ignore", invalid="ignore"):
         while t < t_end and steps < max_steps:
@@ -326,7 +341,8 @@ def evolve(
                 dt, capped = cap / res, capped + 1
             multiply(dt, rhs, tmp)
             add(u, tmp, u)  # u + dt * rhs, in place: u is this call's own copy
-            if count(isfinite(u, finite)) < size:
+            bound += dt * res
+            if not bound < SCAN_FROM and count(isfinite(u, finite)) < size:
                 raise StabilityError(f"non-finite field after step {steps} (dt={dt:g})")
             t += dt
             steps += 1

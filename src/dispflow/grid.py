@@ -112,7 +112,7 @@ _D1_ENDS = ((-1.5, 0.5), (2.0, -2.0), (-0.5, 1.5))
 
 def diff_axis0_kernel(v: np.ndarray, dx: float, k: int, out: np.ndarray) -> list:
     """The order-k difference along axis 0 of a raw 1-D or 2-D array v into
-    out, as a list of bound ufunc calls, (function, positional arguments)
+    out, as a list of bound calls, (function, positional arguments)
     pairs run in order: the one definition of the stencils behind diff(),
     diff_matrix() and the flows' mobility.  Its views of v and out, its
     scalars (0-d float64 arrays, the same IEEE operands as Python floats)
@@ -123,29 +123,51 @@ def diff_axis0_kernel(v: np.ndarray, dx: float, k: int, out: np.ndarray) -> list
     stencils at the two boundary samples (exact on polynomials of degree
     <= 2).  Both boundary rows are computed in one batched expression;
     x + (-c) * y == x - c * y exactly, so each keeps the operations and
-    their order of the scalar formula in the comments.  The caller checks
-    that axis 0 holds at least 2k+1 samples.
+    their order of the scalar formula in the comments.  For a 1-D v that
+    expression is one call of that formula in Python floats, the same IEEE
+    operations on two samples (unless its divisor is 0, which numpy
+    divides by and Python does not).  The caller checks that axis 0 holds
+    at least 2k+1 samples.
     """
     n = v.shape[0]
     mid, ends = out[1:-1], out[:: n - 1]
-    e, tmp = np.empty((2, 2) + v.shape[1:])
     sub, add, mul, div = np.subtract, np.add, np.multiply, np.divide
     if k == 1:
         # out[1:-1] = (v[2:] - v[:-2]) / (2 dx)
-        h, dx = np.array(2.0 * dx), np.array(dx)
+        interior = [(sub, (v[2:], v[:-2], mid)), (div, (mid, np.array(2.0 * dx), mid))]
+        if v.ndim == 1 and dx != 0:
+            head, tail, dx = v[:3], v[-3:], float(dx)
+
+            def scalar_ends():
+                a, b, c = head.tolist()
+                x, y, z = tail.tolist()
+                out[0] = (-1.5 * a + 2.0 * b - 0.5 * c) / dx
+                out[-1] = (0.5 * x - 2.0 * y + 1.5 * z) / dx
+            return interior + [(scalar_ends, ())]
+        e, tmp = np.empty((2, 2) + v.shape[1:])
         c0, c1, c2 = (np.reshape(c, (2,) + (1,) * (v.ndim - 1)) for c in _D1_ENDS)
         p0, p1, p2 = (row_pair(v, i, n - 3 + i) for i in range(3))
-        return [(sub, (v[2:], v[:-2], mid)), (div, (mid, h, mid)),
-                (mul, (c0, p0, e)), (mul, (c1, p1, tmp)), (add, (e, tmp, e)),
-                (mul, (c2, p2, tmp)), (add, (e, tmp, e)), (div, (e, dx, ends))]
+        return interior + [(mul, (c0, p0, e)), (mul, (c1, p1, tmp)), (add, (e, tmp, e)),
+                           (mul, (c2, p2, tmp)), (add, (e, tmp, e)), (div, (e, np.array(dx), ends))]
     # out[1:-1] = (v[2:] - 2 v[1:-1] + v[:-2]) / dx^2
     # out[0] = (2 v0 - 5 v1 + 4 v2 - v3) / dx^2, and mirrored at the end
     h2, two, five, four = (np.array(c) for c in (dx * dx, 2.0, 5.0, 4.0))
+    interior = [(mul, (two, v[1:-1], mid)), (sub, (v[2:], mid, mid)),
+                (add, (mid, v[:-2], mid)), (div, (mid, h2, mid))]
+    if v.ndim == 1 and h2 != 0:
+        head, tail, h2 = v[:4], v[-4:], float(h2)
+
+        def scalar_ends():
+            a, b, c, d = head.tolist()
+            w, x, y, z = tail.tolist()
+            out[0] = (2.0 * a - 5.0 * b + 4.0 * c - d) / h2
+            out[-1] = (2.0 * z - 5.0 * y + 4.0 * x - w) / h2
+        return interior + [(scalar_ends, ())]
+    e, tmp = np.empty((2, 2) + v.shape[1:])
     p0, p1, p2, p3 = (row_pair(v, i, n - 1 - i) for i in range(4))
-    return [(mul, (two, v[1:-1], mid)), (sub, (v[2:], mid, mid)), (add, (mid, v[:-2], mid)),
-            (div, (mid, h2, mid)), (mul, (two, p0, e)), (mul, (five, p1, tmp)),
-            (sub, (e, tmp, e)), (mul, (four, p2, tmp)), (add, (e, tmp, e)),
-            (sub, (e, p3, e)), (div, (e, h2, ends))]
+    return interior + [(mul, (two, p0, e)), (mul, (five, p1, tmp)), (sub, (e, tmp, e)),
+                       (mul, (four, p2, tmp)), (add, (e, tmp, e)), (sub, (e, p3, e)),
+                       (div, (e, h2, ends))]
 
 
 def diff_axis0(v: np.ndarray, dx: float, k: int) -> np.ndarray:

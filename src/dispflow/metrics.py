@@ -52,15 +52,11 @@ def metrics(a: ScalarField, b: ScalarField, extras: dict | None = None) -> Metri
     return MetricReport(rmse, psnr, rel, extras)
 
 
-def _crossings(line: np.ndarray, level: float) -> list[float]:
+def _crossings(line: np.ndarray, level: float) -> np.ndarray:
     """Sub-sample positions where the profile crosses the given level."""
-    pos = []
     above = line >= level
-    for i in range(len(line) - 1):
-        if above[i] != above[i + 1]:
-            frac = (level - line[i]) / (line[i + 1] - line[i])
-            pos.append(i + frac)
-    return pos
+    i = np.flatnonzero(above[:-1] != above[1:])
+    return i + (level - line[i]) / (line[i + 1] - line[i])
 
 
 def strip_fwhm(f: ScalarField, axis_of_profile: int = 0) -> np.ndarray:
@@ -75,7 +71,7 @@ def strip_fwhm(f: ScalarField, axis_of_profile: int = 0) -> np.ndarray:
         line = v[:, j]
         half = lo + 0.5 * (float(np.max(line)) - lo)
         pos = _crossings(line, half)
-        if len(pos) >= 2:
+        if pos.size >= 2:
             widths[j] = pos[-1] - pos[0]
     return widths
 
@@ -90,7 +86,7 @@ def interface_positions(f: ScalarField) -> np.ndarray:
     pos = np.full(v.shape[1], np.nan)
     for j in range(v.shape[1]):
         cr = _crossings(v[:, j], mid)
-        if cr:
+        if cr.size:
             pos[j] = cr[0]
     return pos
 

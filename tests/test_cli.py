@@ -229,6 +229,16 @@ class TestDiscreteVerbs:
         lines = sh.read_text().strip().split("\n")
         assert lines[0] == "index,shift"
 
+    @pytest.mark.parametrize("verb,m", [("jitter", "99"), ("assign", "100")])
+    def test_bound_is_checked_against_the_file(self, tmp_path, capsys, verb, m):
+        # a config's default sinogram has 90 rows; the file has 100
+        src, out = tmp_path / "p.csv", tmp_path / "o.csv"
+        assert run("perturb", "--n=16", "--angle-step=pi/100", f"--out={src}") == 0
+        assert run(verb, f"--in={src}", f"--M={m}", f"--out={out}") == 0
+        assert run(verb, f"--in={src}", f"--M={int(m) + 1}", f"--out={tmp_path / 'x.csv'}") == 1
+        assert "n1 = 100, got" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
+
     def test_assign_bad_order_is_one_line(self, tmp_path, capsys):
         # ran as k = 2 and exited 0
         src, out = tmp_path / "p.csv", tmp_path / "a.csv"
@@ -351,6 +361,10 @@ class TestTopLevel:
         ("[image]\ndx1 = -0.1\n", "dx1 must be non-negative and finite, got -0.1"),
         ("[image]\ndx1 = nan\n", "dx1 must be non-negative and finite, got nan"),
         ("[image]\ndx1 = inf\n", "dx1 must be non-negative and finite, got inf"),
+        ("input = interface\ncorrection = flow\n[image]\nn = 2\n",
+         "axis X1 has 2 samples, need at least 3 for the (k=1, p=2) flow along X1"),
+        ("correction = assign\n[tomo]\nn = 32\nangle_step = pi/24\n[discrete]\nm = 200\n",
+         "M must not exceed the field's samples along x1, n1 = 24, got 200"),
     ])
     def test_experiment_bad_config_is_one_line(self, tmp_path, capsys, text, msg):
         cfg = tmp_path / "bad.cfg"

@@ -329,6 +329,42 @@ def small_tomo_cfg(tmp_path, correction="none", extra=""):
 
 
 class TestRunExperiment:
+    @pytest.mark.parametrize("text,msg", [
+        # each failed mid-run, after config.echo.cfg and the input or the
+        # sinogram files were written
+        ("input = interface\ncorrection = flow\n[image]\nn = 2\n",
+         "axis X1 has 2 samples, need at least 3 for the (k=1, p=2) flow along X1"),
+        ("input = strip\ncorrection = flow\n[image]\nn = 4\nstrip_width = 2\n"
+         "[flow]\naxis = X2\nk = 2\np = 1\n",
+         "axis X2 has 4 samples, need at least 5 for the (k=2, p=1) flow along X2"),
+        ("correction = flow\n[tomo]\nn = 16\nangle_step = pi/2\n",
+         "axis X1 has 2 samples, need at least 3 for the (k=1, p=2) flow along X1"),
+        ("correction = assign\n[tomo]\nn = 32\nangle_step = pi/24\n[discrete]\nm = 200\n",
+         "M must not exceed the field's samples along x1, n1 = 24, got 200"),
+        ("correction = jitter\n[tomo]\nn = 32\nangle_step = pi/24\n[discrete]\nm = 24\n",
+         "M must be smaller than the field's samples along x1, n1 = 24, got 24"),
+        ("input = interface\ncorrection = jitter\n[image]\nn = 16\n[discrete]\nm = 16\n",
+         "M must be smaller than the field's samples along x1, n1 = 16, got 16"),
+    ])
+    def test_field_too_small_for_the_stage_writes_nothing(self, tmp_path, text, msg):
+        p = tmp_path / "small.cfg"
+        p.write_text(f"[experiment]\nname = x\noutdir = {tmp_path / 'out'}\n" + text)
+        cfg = load_config(p)
+        with pytest.raises(ConfigError, match=f"^{re.escape(msg)}$"):
+            run_experiment(cfg)
+        assert not (tmp_path / "out").exists()
+
+    def test_field_at_the_stage_limits_is_accepted(self):
+        # the smallest fields and the largest M each stage admits
+        for kw in (dict(input="interface", correction="flow", image_n=3),
+                   dict(input="strip", correction="flow", image_n=5, strip_width=3,
+                        flow=FlowParams(axis=Axis.X2, k=2, p=1)),
+                   dict(correction="flow", n=16, angle_step=math.pi / 3),
+                   dict(correction="assign", n=32, angle_step=math.pi / 24, M=24),
+                   dict(correction="jitter", n=32, angle_step=math.pi / 24, M=23),
+                   dict(input="interface", correction="jitter", image_n=16, M=15)):
+            assert ExperimentConfig(**kw).check_stage_input() is None
+
     def test_tomo_outputs_and_determinism(self, tmp_path):
         cfg = small_tomo_cfg(tmp_path)
         rep1 = run_experiment(cfg)

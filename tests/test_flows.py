@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from dispflow.flows import (
     DT_FLOOR,
+    SCAN_FROM,
     FlowError,
     FlowParams,
     FlowState,
@@ -561,3 +562,36 @@ class TestStepperReference:
             evolve(f, params, 1e9 * dt, dt_override=dt, max_change=None)
         with pytest.raises(StabilityError, match=r"^non-finite rhs at step 8: "):
             _ref_evolve(f, params, 1e9 * dt, dt_override=dt, max_change=None)
+
+    # the saturated p=1, q=1 rhs grows linearly with the field, so a huge
+    # forced step multiplies the field each step and it overflows before its
+    # rhs: max |u0| + the summed dt * max |rhs| crosses SCAN_FROM after step 0,
+    # at the step that overflows (1e50, step 5) or one before it (1e150)
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("dt", [1e50, 1e150])
+    def test_overflow_after_a_mid_run_crossing_raises_at_the_same_step(self, dt):
+        f = rough_field(5, (9, 7))
+        params = FlowParams(axis=Axis.X1, k=1, p=1, q=1, beta=0.05)
+        kwargs = dict(dt_override=dt, max_change=None)
+        with pytest.raises(StabilityError) as ref:
+            _ref_evolve(f, params, 1e9 * dt, **kwargs)
+        with pytest.raises(StabilityError) as new:
+            evolve(f, params, 1e9 * dt, **kwargs)
+        assert str(new.value) == str(ref.value)
+        step = int(re.fullmatch(r"non-finite field after step (\d+) \(dt=.*\)", str(ref.value))[1])
+        first = _ref_evolve(f, params, dt, **kwargs)  # step 0 alone
+        assert step >= 2 and norm_linf(f) + dt * first.residuals[0] < SCAN_FROM
+
+    # evolve steps the contiguous transpose of an X2 field; flow_rhs and
+    # stable_dt step the field as given
+    @pytest.mark.parametrize("k,p,q", ALL_VARIANTS)
+    def test_x2_rhs_and_dt_of_a_view_equal_the_first_step(self, k, p, q):
+        f = ScalarField(rough_field(23, (13, 25)).values[1::2, ::2], 0.07, 0.09)
+        assert not (f.values.flags.c_contiguous or f.values.flags.f_contiguous)
+        params = FlowParams(axis=Axis.X2, k=k, p=p, q=q, beta=0.05, eps=1e-3)
+        rhs, dt = flow_rhs(f, params).values, stable_dt(f, params)
+        assert np.array_equal(rhs, _ref_flow_rhs(f, params).values)
+        state = evolve(f, params, dt, max_change=None)
+        assert (state.steps, state.last_dt) == (1, dt)
+        assert state.residuals == [float(np.max(np.abs(rhs)))]
+        assert np.array_equal(state.u.values, f.values + dt * rhs)

@@ -12,6 +12,7 @@ from dispflow.grid import (
     ScalarField,
     diff,
     diff_axis0,
+    diff_axis0_kernel,
     diff_matrix,
     distinct_columns,
     norm_l2,
@@ -177,6 +178,26 @@ class TestDiffMatrix:
         with pytest.raises(ValueError):
             D[0, 0] = 99.0
         assert np.array_equal(diff_matrix(n, dx, k), diff_axis0(np.eye(n), dx, k))
+
+
+class TestDiffKernel:
+    # a 1-D v runs its end rows as one call in Python floats
+    @pytest.mark.parametrize("dx", [0.07, 1e-170])  # 1e-170: dx * dx is 0.0
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_1d_columns_equal_the_2d_rows_bitwise(self, k, dx):
+        rng = np.random.default_rng(k)
+        for n in range(2 * k + 1, 2 * k + 4):
+            v = rng.standard_normal((n, 6)) * 10.0 ** rng.integers(-3, 4, (n, 6))
+            v[:, 4] = [(-1) ** i * 1e308 for i in range(n)]  # stencils overflow
+            v[:, 5] = -0.0
+            with np.errstate(all="ignore"):
+                ref = diff_axis0(v, dx, k)
+                columns = np.empty_like(v)
+                for j in range(v.shape[1]):
+                    for f, args in diff_axis0_kernel(v[:, j].copy(), dx, k, columns[:, j]):
+                        f(*args)
+            assert np.array_equal(columns, ref, equal_nan=True)
+            assert np.array_equal(np.signbit(columns), np.signbit(ref))
 
 
 class TestNorms:

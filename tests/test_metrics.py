@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from dispflow.grid import ScalarField
 from dispflow.metrics import (
     MetricError,
+    _crossings,
     interface_positions,
     interface_variance,
     metrics,
@@ -59,6 +60,25 @@ class TestMetrics:
         r1 = metrics(a, b).rmse
         a2 = ScalarField(b.values + 2 * (a.values - b.values))
         assert metrics(a2, b).rmse == pytest.approx(2 * r1)
+
+
+def _loop_crossings(line, level):
+    """The per-sample loop _crossings ran before it was vectorized."""
+    pos = []
+    above = line >= level
+    for i in range(len(line) - 1):
+        if above[i] != above[i + 1]:
+            pos.append(i + (level - line[i]) / (line[i + 1] - line[i]))
+    return pos
+
+
+class TestCrossings:
+    def test_equals_the_loop_bitwise(self):
+        rng = np.random.default_rng(3)
+        steps = np.repeat(rng.integers(0, 3, 12), 3).astype(float)  # plateaus on the level
+        for line in (rng.standard_normal(50), steps, 255.0 * rng.random(64), np.ones(5)):
+            for level in (0.0, 1.0, 0.37, float(np.median(line))):
+                assert _crossings(line, level).tolist() == [float(x) for x in _loop_crossings(line, level)]
 
 
 class TestStripFWHM:
