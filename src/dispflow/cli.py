@@ -2,7 +2,8 @@
 
 Setting flags are the config keys of ``[tomo]`` or of a correction verb's
 stage, parsed, defaulted and checked by ``experiment.parse_config`` (README,
-"Command line"); correction verbs run ``experiment.correct_field``.
+"Command line"); correction verbs run ``experiment.correct_field`` and
+write ``--out``, then the optional diagnostic file.
 ``perturb --a`` defaults to pi/18; ``fbp --angle-step`` and ``--compensate``
 are not config keys.
 
@@ -23,7 +24,7 @@ import sys
 import numpy as np
 
 from .experiment import correct_field, jittered_sinogram, load_config, parse_angle, parse_config, run_experiment
-from .fileio import read_image, write_image
+from .fileio import read_image, write_image, write_text
 from .grid import ScalarField
 from .metrics import metrics
 from .tomo import Sinogram, TomoError, angle_count, angle_grid, default_offsets, fbp, shepp_logan
@@ -151,7 +152,10 @@ def _dispatch(verb: str, kw: dict) -> int:
     if verb in ("flow", "varsolve", "jitter", "assign"):
         section = "discrete" if verb in ("jitter", "assign") else verb
         cfg = parse_config({section: kw}, correction=verb)
-        write_image(out, correct_field(cfg, read_image(infile), diagnostic))
+        corrected, text = correct_field(cfg, read_image(infile))
+        write_image(out, corrected)
+        if diagnostic:
+            write_text(diagnostic, *text)
         return 0
 
     step, shift = kw.pop("row_step", None), kw.pop("bp_shift", None)

@@ -8,10 +8,14 @@ differs from the field name; ``[flow]`` and ``[varsolve]`` are the fields of
 ``FlowParams`` and ``EnergyParams`` followed by ``t_end`` and ``m_max``.  An
 unknown section or key, or a value that does not parse, is a ConfigError.
 ``parse_config`` parses a config file's sections and the ``dispflow`` verbs'
-flags alike; ``correct_field`` runs the correction stage for both.
-Every run writes a ``config.echo.cfg`` copy (all but ``outdir``) and a
-``metrics.csv`` next to the field artifacts so a run is reproducible from
-its output directory alone.
+flags alike; ``correct_field`` runs the correction stage for both and
+returns its diagnostic rather than writing it.
+The pipelines compute every stage first and return their report with an
+ordered table of artifacts (file name to field, or to a text header and
+its lines).  Only then does ``run_experiment`` make the output directory
+and write a ``config.echo.cfg`` copy (all but ``outdir``), every artifact
+and a ``metrics.csv``, so a run is reproducible from its output directory
+alone and a failing stage writes nothing.
 """
 
 from __future__ import annotations
@@ -23,16 +27,11 @@ from dataclasses import dataclass, field, fields, is_dataclass
 
 import numpy as np
 
-from .discrete import (
-    DiscreteError,
-    block_assign_columns,
-    check_assign_bound,
-    check_jitter_bound,
-    jitter_correct_rows,
-)
-from .fileio import write_csv, write_image
-from .flows import FlowParams, check_shape, evolve
-from .grid import Axis, GridError, ScalarField
+from .discrete import block_assign_columns, jitter_correct_rows
+# perfbench/tracing.py patches write_image and write_csv here; fields go through write_image
+from .fileio import write_csv, write_image, write_text  # noqa: F401
+from .flows import FlowParams, evolve
+from .grid import Axis, ScalarField
 from .metrics import MetricReport, interface_variance, metrics, strip_fwhm
 from .tomo import (
     FILTERS,
@@ -43,7 +42,6 @@ from .tomo import (
     TomoError,
     angle_count,
     angle_grid,
-    default_offsets,
     fbp,
     radon,
     radon_perturbed,
@@ -133,8 +131,8 @@ class ExperimentConfig:
     korder: int = _setting("discrete", 1)
 
     def __post_init__(self):
-        # each check stands for a failure mid-run, after files were written,
-        # or for a setting run as another one
+        # each check stands for a stage's failure on a setting the config can
+        # name at load time, or for a setting run as another one
         for what, value, names in (("correction stage", self.correction, _STAGES),
                                    ("input kind", self.input, _INPUTS),
                                    ("phantom variant", self.variant, VARIANTS),
@@ -158,23 +156,6 @@ class ExperimentConfig:
         try:
             angle_count(self.angle_step)
         except TomoError as exc:
-            raise ConfigError(str(exc)) from None
-
-    def check_stage_input(self):
-        """The correction stage's own rules on the shape of the field
-        run_experiment gives it (_stage_input_shape): flows.check_shape for
-        a flow, the M bounds of discrete for jitter and assign.  Not part of
-        __post_init__: the CLI's correction verbs build this config for a
-        field read from a file, whose shape it does not know, and meet the
-        same rules before they write."""
-        shape = _stage_input_shape(self)
-        try:
-            if self.correction == "flow":
-                check_shape(shape, self.flow)
-            elif self.correction in ("jitter", "assign"):
-                bound = check_jitter_bound if self.correction == "jitter" else check_assign_bound
-                bound(self.M, shape[0])
-        except (GridError, DiscreteError) as exc:
             raise ConfigError(str(exc)) from None
 
 
@@ -260,38 +241,36 @@ def _echo_config(cfg: ExperimentConfig, outdir: str):
             if echo:
                 value = getattr(getattr(cfg, owner) if owner else cfg, attr)
                 lines.append(f"{key} = {value.name if isinstance(value, Axis) else value}")
-    with open(os.path.join(outdir, "config.echo.cfg"), "w") as fh:
-        fh.write("\n".join(lines[1:] + [""]))
+    write_text(os.path.join(outdir, "config.echo.cfg"), "\n".join(lines[1:] + [""]))
 
 
-def correct_field(cfg: ExperimentConfig, f: ScalarField, diagnostic: str | None) -> ScalarField:
-    """f after cfg's correction stage.  The stage's diagnostic CSV (per-step
-    ||rhs||_inf, the iteration trace or the recovered shifts) goes to the
-    path diagnostic, if given."""
+def correct_field(cfg: ExperimentConfig, f: ScalarField) -> tuple[ScalarField, tuple | None]:
+    """f after cfg's correction stage, with the stage's diagnostic CSV
+    (per-step ||rhs||_inf, the iteration trace or the recovered shifts) as
+    the arguments of fileio.write_text after the path: a header and its
+    lines, which a flow gives as a one-pass generator.  None for no
+    correction.  Writes nothing."""
     if cfg.correction == "none":
-        return f
+        return f, None
     if cfg.correction == "flow":
         state = evolve(f, cfg.flow, cfg.t_end)
-        out, text = state.u, "step,rhs_linf\n"
-        # one line at a time: a long run has tens of thousands of steps
-        lines = (f"{i},{r!r}\n" for i, r in enumerate(state.residuals))
-    elif cfg.correction == "varsolve":
+        # formatted one line at a time as written: a long run has tens of thousands of steps
+        return state.u, ("step,rhs_linf\n", (f"{i},{r!r}\n" for i, r in enumerate(state.residuals)))
+    if cfg.correction == "varsolve":
         out, trace = iterate(f, cfg.energy, m_max=cfg.m_max)
-        text, lines = trace.to_csv(), ()
-    else:
-        fn = jitter_correct_rows if cfg.correction == "jitter" else block_assign_columns
-        out, shifts = fn(f, cfg.M, cfg.korder)
-        text, lines = shifts.to_csv(), ()
-    if diagnostic:
-        with open(diagnostic, "w") as fh:
-            fh.write(text)
-            fh.writelines(lines)
+        return out, (trace.to_csv(), ())
+    fn = jitter_correct_rows if cfg.correction == "jitter" else block_assign_columns
+    out, shifts = fn(f, cfg.M, cfg.korder)
+    return out, (shifts.to_csv(), ())
+
+
+def _corrected(cfg: ExperimentConfig, f: ScalarField, artifacts: dict) -> ScalarField:
+    """correct_field's field; its diagnostic, if any, joins artifacts."""
+    out, diagnostic = correct_field(cfg, f)
+    if diagnostic is not None:
+        name = {"flow": "flow_residuals.csv", "varsolve": "trace.csv"}.get(cfg.correction, "shifts.csv")
+        artifacts[name] = diagnostic
     return out
-
-
-def _diagnostic(cfg: ExperimentConfig, outdir: str) -> str:
-    name = {"flow": "flow_residuals.csv", "varsolve": "trace.csv"}.get(cfg.correction, "shifts.csv")
-    return os.path.join(outdir, name)
 
 
 def _strip_image(cfg: ExperimentConfig) -> ScalarField:
@@ -311,13 +290,11 @@ def _interface_image(cfg: ExperimentConfig) -> ScalarField:
     return ScalarField(v, cfg.dx1, cfg.dx2)
 
 
-def _run_image_experiment(cfg: ExperimentConfig, outdir: str) -> MetricReport:
+def _run_image_experiment(cfg: ExperimentConfig) -> tuple[MetricReport, dict]:
     f0 = _strip_image(cfg) if cfg.input == "strip" else _interface_image(cfg)
-    write_image(os.path.join(outdir, "input.pgm"), f0)
-    write_csv(os.path.join(outdir, "input.csv"), f0)
-    f1 = correct_field(cfg, f0, _diagnostic(cfg, outdir))
-    write_image(os.path.join(outdir, "output.pgm"), f1)
-    write_csv(os.path.join(outdir, "output.csv"), f1)
+    artifacts = {"input.pgm": f0, "input.csv": f0}
+    f1 = _corrected(cfg, f0, artifacts)
+    artifacts.update({"output.pgm": f1, "output.csv": f1})
     extras = {}
     if cfg.input == "strip":
         extras["fwhm_before"] = float(np.nanmean(strip_fwhm(f0)))
@@ -325,89 +302,73 @@ def _run_image_experiment(cfg: ExperimentConfig, outdir: str) -> MetricReport:
     else:
         extras["interface_var_before"] = interface_variance(f0)
         extras["interface_var_after"] = interface_variance(f1)
-    return metrics(f1, f0, extras=extras)
+    return metrics(f1, f0, extras=extras), artifacts
 
 
 def jittered_sinogram(
-    ph: ScalarField, angles: np.ndarray, a: float, noise: float, seed: int,
-    n_offsets: int | None = None,
+    ph: ScalarField, angles: np.ndarray, a: float, noise: float, seed: int
 ) -> tuple[Sinogram, AngularPerturbation]:
     """Sinogram of ph at angles + d, d ~ Uniform[0, a] drawn from seed, plus
     Gaussian noise of standard deviation noise * max |clean sinogram|
-    (seeded by seed too), with the perturbation it used; n_offsets detector
-    offsets (None: tomo.default_offsets' count for ph)."""
+    (seeded by seed too), with the perturbation it used."""
     if not 0 <= noise < math.inf:  # NaN would drop the noise
         raise TomoError(f"noise must be non-negative and finite, got {noise}")
     pert = sample_uniform_displacement(angles, a, seed)
     sigma = 0.0
     if noise > 0:
         sigma = noise * float(np.abs(radon(ph, angles).field.values).max())
-    return radon_perturbed(ph, angles, n_offsets, pert, sigma, seed), pert
+    return radon_perturbed(ph, angles, None, pert, sigma, seed), pert
 
 
-def _stage_input_shape(cfg: ExperimentConfig) -> tuple[int, int]:
-    """The shape of the field run_experiment hands the correction stage:
-    image_n x image_n for an image input; for a tomography input the
-    sinogram's angle_count(angle_step) rows by the detector offset count
-    that _run_tomo_experiment passes to the projector."""
-    if cfg.input in ("strip", "interface"):
-        return cfg.image_n, cfg.image_n
-    return angle_count(cfg.angle_step), default_offsets(cfg.n).size
-
-
-def _run_tomo_experiment(cfg: ExperimentConfig, outdir: str) -> MetricReport:
+def _run_tomo_experiment(cfg: ExperimentConfig) -> tuple[MetricReport, dict]:
     ph = shepp_logan(cfg.n, cfg.variant)
-    write_image(os.path.join(outdir, "phantom.pgm"), ph)
     angles = angle_grid(cfg.angle_step)
-    n_offsets = _stage_input_shape(cfg)[1]
-    sino, pert = jittered_sinogram(ph, angles, cfg.a, cfg.noise, cfg.seed, n_offsets)
+    sino, pert = jittered_sinogram(ph, angles, cfg.a, cfg.noise, cfg.seed)
+    artifacts = {"phantom.pgm": ph}
     if cfg.a > 0 or cfg.noise > 0:
-        with open(os.path.join(outdir, "displacement.csv"), "w") as fh:
-            fh.write("index,displacement\n")
-            for i, d in enumerate(pert.d):
-                fh.write(f"{i},{float(d)!r}\n")
-    write_csv(os.path.join(outdir, "sinogram.csv"), sino.field)
-    write_image(os.path.join(outdir, "sinogram.pgm"), sino.field)
+        artifacts["displacement.csv"] = (
+            "index,displacement\n", [f"{i},{float(d)!r}\n" for i, d in enumerate(pert.d)])
+    artifacts.update({"sinogram.csv": sino.field, "sinogram.pgm": sino.field})
 
-    corrected = correct_field(cfg, sino.field, _diagnostic(cfg, outdir))
+    corrected = _corrected(cfg, sino.field, artifacts)
     if cfg.correction != "none":
-        write_csv(os.path.join(outdir, "sinogram_corrected.csv"), corrected)
-        write_image(os.path.join(outdir, "sinogram_corrected.pgm"), corrected)
+        artifacts.update({"sinogram_corrected.csv": corrected, "sinogram_corrected.pgm": corrected})
 
     bp_angles = angles + cfg.a / 2 if cfg.compensate else None
     recon = fbp(
         sino.with_field(corrected), cfg.n_out, cfg.filter, backproject_angles=bp_angles
     )
-    write_image(os.path.join(outdir, "recon.pgm"), recon)
-    write_csv(os.path.join(outdir, "recon.csv"), recon)
+    artifacts.update({"recon.pgm": recon, "recon.csv": recon})
 
     ref = ph if cfg.n_out == cfg.n else shepp_logan(cfg.n_out, cfg.variant)
     extras = {}
     if cfg.correction != "none":
         uncorrected = fbp(sino, cfg.n_out, cfg.filter, backproject_angles=bp_angles)
-        write_image(os.path.join(outdir, "recon_uncorrected.pgm"), uncorrected)
+        artifacts["recon_uncorrected.pgm"] = uncorrected
         extras["rmse_uncorrected"] = metrics(uncorrected, ref).rmse
-    return metrics(recon, ref, extras=extras)
+    return metrics(recon, ref, extras=extras), artifacts
 
 
 def run_experiment(cfg: ExperimentConfig, outdir: str | None = None) -> MetricReport:
-    """Execute the configured pipeline and write all artifacts to outdir.
+    """Execute the configured pipeline, then write all its artifacts to outdir.
 
     Deterministic for a fixed config: all randomness flows through the
     config seed.  Returns the final MetricReport (also written as CSV).
-    A field too small for the correction stage is a ConfigError before
-    anything is written (ExperimentConfig.check_stage_input).
+    Every stage returns before the output directory is made, so a stage's
+    failure (its own one-line error on a field too small for it, say)
+    writes nothing.
     """
-    cfg.check_stage_input()
+    run = _run_image_experiment if cfg.input in ("strip", "interface") else _run_tomo_experiment
+    report, artifacts = run(cfg)
+    artifacts["metrics.csv"] = (
+        "metric,value\n", [line.replace("=", ",", 1) + "\n" for line in report.lines()])
     outdir = outdir or cfg.outdir
     os.makedirs(outdir, exist_ok=True)
     _echo_config(cfg, outdir)
-    if cfg.input in ("strip", "interface"):
-        report = _run_image_experiment(cfg, outdir)
-    else:
-        report = _run_tomo_experiment(cfg, outdir)
-    with open(os.path.join(outdir, "metrics.csv"), "w") as fh:
-        fh.write("metric,value\n")
-        for line in report.lines():
-            fh.write(line.replace("=", ",", 1) + "\n")
+    for name, artifact in artifacts.items():
+        path = os.path.join(outdir, name)
+        if isinstance(artifact, ScalarField):
+            write_image(path, artifact)
+        else:
+            write_text(path, *artifact)
     return report

@@ -1,5 +1,5 @@
 """Field serialization: 16-bit binary PGM (lossy quantization with recorded
-range) and lossless CSV."""
+range) and lossless CSV; and the plain-text writer of every other file."""
 
 from __future__ import annotations
 
@@ -121,6 +121,13 @@ def write_image(path, f: ScalarField):
         write_csv(path, f)
     else:
         raise FormatError(f"unsupported extension for {path!r}")
+
+
+def write_text(path, header: str, lines=()):
+    """header, then each string of lines, to path."""
+    with open(path, "w") as fh:
+        fh.write(header)
+        fh.writelines(lines)
 
 
 def read_image(path) -> ScalarField:

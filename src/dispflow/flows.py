@@ -115,7 +115,12 @@ class _Workspace:
         self.scratch = np.empty_like(self.inner)
         self.coeff = self.scratch[:n] if params.p == 1 else self.mob
         # dt = cfl * dx_i^(2k) / (2^(2k) * max(max coeff, floor)); see _stable_dt
-        self.num, self.den = float(params.cfl * dx ** (2 * params.k)), 2 ** (2 * params.k)
+        try:
+            self.num = float(params.cfl * dx ** (2 * params.k))
+        except OverflowError:
+            raise FlowError(f"grid spacing {dx!r} along {params.axis.name} is too large for the "
+                            f"k={params.k} flow: its CFL bound's dx^{2 * params.k} overflows") from None
+        self.den = 2 ** (2 * params.k)
         self.floor = max(params.eps, DT_FLOOR)
         self.step = _mobility(u, dx1, params, self.mob) + _rhs(u, dx, params, self)
         self.cfl = _stable_dt(u, dx, params, self)
@@ -255,7 +260,8 @@ def evolve(
     producing a non-finite field raises StabilityError.  Stopping at
     max_steps short of t_end emits a RuntimeWarning that gives the time
     reached and sets FlowState.truncated.  A grid too small for the
-    stencils raises GridError before the first step.
+    stencils raises GridError before the first step, and a spacing along
+    the flow axis whose dx^(2k) overflows a FlowError.
 
     An X1 flow steps each distinct column of u0 once: every stencil acts
     within a column, and the reductions (max |rhs|, the CFL bound's maximum

@@ -17,9 +17,10 @@ from dispflow.experiment import (
     parse_angle,
     run_experiment,
 )
+from dispflow.discrete import DiscreteError
 from dispflow.fileio import read_csv
 from dispflow.flows import FlowParams
-from dispflow.grid import Axis
+from dispflow.grid import Axis, GridError
 from dispflow.varsolve import EnergyParams, SolverError
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
@@ -329,41 +330,43 @@ def small_tomo_cfg(tmp_path, correction="none", extra=""):
 
 
 class TestRunExperiment:
-    @pytest.mark.parametrize("text,msg", [
+    @pytest.mark.parametrize("text,error,msg", [
         # each failed mid-run, after config.echo.cfg and the input or the
         # sinogram files were written
-        ("input = interface\ncorrection = flow\n[image]\nn = 2\n",
+        ("input = interface\ncorrection = flow\n[image]\nn = 2\n", GridError,
          "axis X1 has 2 samples, need at least 3 for the (k=1, p=2) flow along X1"),
         ("input = strip\ncorrection = flow\n[image]\nn = 4\nstrip_width = 2\n"
-         "[flow]\naxis = X2\nk = 2\np = 1\n",
+         "[flow]\naxis = X2\nk = 2\np = 1\n", GridError,
          "axis X2 has 4 samples, need at least 5 for the (k=2, p=1) flow along X2"),
-        ("correction = flow\n[tomo]\nn = 16\nangle_step = pi/2\n",
+        ("correction = flow\n[tomo]\nn = 16\nangle_step = pi/2\n", GridError,
          "axis X1 has 2 samples, need at least 3 for the (k=1, p=2) flow along X1"),
         ("correction = assign\n[tomo]\nn = 32\nangle_step = pi/24\n[discrete]\nm = 200\n",
-         "M must not exceed the field's samples along x1, n1 = 24, got 200"),
+         DiscreteError, "M must not exceed the field's samples along x1, n1 = 24, got 200"),
         ("correction = jitter\n[tomo]\nn = 32\nangle_step = pi/24\n[discrete]\nm = 24\n",
-         "M must be smaller than the field's samples along x1, n1 = 24, got 24"),
+         DiscreteError, "M must be smaller than the field's samples along x1, n1 = 24, got 24"),
         ("input = interface\ncorrection = jitter\n[image]\nn = 16\n[discrete]\nm = 16\n",
-         "M must be smaller than the field's samples along x1, n1 = 16, got 16"),
+         DiscreteError, "M must be smaller than the field's samples along x1, n1 = 16, got 16"),
     ])
-    def test_field_too_small_for_the_stage_writes_nothing(self, tmp_path, text, msg):
+    def test_field_too_small_for_the_stage_writes_nothing(self, tmp_path, text, error, msg):
         p = tmp_path / "small.cfg"
         p.write_text(f"[experiment]\nname = x\noutdir = {tmp_path / 'out'}\n" + text)
         cfg = load_config(p)
-        with pytest.raises(ConfigError, match=f"^{re.escape(msg)}$"):
+        with pytest.raises(error, match=f"^{re.escape(msg)}$"):
             run_experiment(cfg)
         assert not (tmp_path / "out").exists()
 
-    def test_field_at_the_stage_limits_is_accepted(self):
-        # the smallest fields and the largest M each stage admits
-        for kw in (dict(input="interface", correction="flow", image_n=3),
-                   dict(input="strip", correction="flow", image_n=5, strip_width=3,
-                        flow=FlowParams(axis=Axis.X2, k=2, p=1)),
-                   dict(correction="flow", n=16, angle_step=math.pi / 3),
-                   dict(correction="assign", n=32, angle_step=math.pi / 24, M=24),
-                   dict(correction="jitter", n=32, angle_step=math.pi / 24, M=23),
-                   dict(input="interface", correction="jitter", image_n=16, M=15)):
-            assert ExperimentConfig(**kw).check_stage_input() is None
+    def test_field_at_the_stage_limits_is_accepted(self, tmp_path):
+        # the smallest fields and the largest M each stage admits, each run
+        # through the pipeline, whose stage gets a field of that shape
+        for i, kw in enumerate((
+                dict(input="interface", correction="flow", image_n=3, t_end=1e-18),
+                dict(input="strip", correction="flow", image_n=5, strip_width=3,
+                     flow=FlowParams(axis=Axis.X2, k=2, p=1), t_end=1e-18),
+                dict(correction="flow", n=16, angle_step=math.pi / 3, t_end=1e-18),
+                dict(correction="assign", n=32, angle_step=math.pi / 24, M=24),
+                dict(correction="jitter", n=32, angle_step=math.pi / 24, M=23),
+                dict(input="interface", correction="jitter", image_n=16, M=15))):
+            run_experiment(ExperimentConfig(**kw), str(tmp_path / str(i)))
 
     def test_tomo_outputs_and_determinism(self, tmp_path):
         cfg = small_tomo_cfg(tmp_path)
@@ -474,3 +477,37 @@ def test_shipped_config_matches_golden_metrics(tmp_path, name):
     assert got.keys() == want.keys()
     for key, value in want.items():
         assert got[key] == pytest.approx(value, rel=1e-7, abs=0.0), key
+
+
+# The files each run writes: tests/golden/ compares only metrics.csv, so a
+# dropped or an extra artifact shows only here.
+_IMAGE_FILES = ["config.echo.cfg", "input.csv", "input.pgm", "metrics.csv", "output.csv",
+                "output.pgm"]
+_TOMO_FILES = ["config.echo.cfg", "metrics.csv", "phantom.pgm", "recon.csv", "recon.pgm",
+               "sinogram.csv", "sinogram.pgm"]
+_CORRECTED_FILES = ["recon_uncorrected.pgm", "sinogram_corrected.csv", "sinogram_corrected.pgm"]
+WRITTEN = {
+    "fig1": _TOMO_FILES + ["displacement.csv"],
+    "fig2": _IMAGE_FILES + ["flow_residuals.csv"],
+    "fig3": _IMAGE_FILES + ["flow_residuals.csv"],
+    "fig4": _TOMO_FILES + _CORRECTED_FILES + ["displacement.csv", "flow_residuals.csv"],
+    "fig5": _TOMO_FILES + _CORRECTED_FILES + ["displacement.csv", "flow_residuals.csv"],
+    "fig5_discrete": _TOMO_FILES + _CORRECTED_FILES + ["displacement.csv", "shifts.csv"],
+    "fig6": _TOMO_FILES + _CORRECTED_FILES + ["displacement.csv", "flow_residuals.csv"],
+}
+
+
+@pytest.mark.parametrize("name", SHIPPED)
+def test_shipped_config_writes_its_files(tmp_path, name):
+    run_experiment(load_config(os.path.join(CONFIG_DIR, f"{name}.cfg")), str(tmp_path))
+    assert sorted(os.listdir(tmp_path)) == sorted(WRITTEN[name])
+
+
+@pytest.mark.parametrize("kw,written", [
+    (dict(input="strip", image_n=16), _IMAGE_FILES),  # correction none: no diagnostic
+    (dict(input="interface", image_n=16), _IMAGE_FILES),
+    (dict(n=16, angle_step=math.pi / 8), _TOMO_FILES),  # a = noise = 0: no displacement.csv
+])
+def test_uncorrected_run_writes_its_files(tmp_path, kw, written):
+    run_experiment(ExperimentConfig(**kw), str(tmp_path))
+    assert sorted(os.listdir(tmp_path)) == sorted(written)

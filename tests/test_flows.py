@@ -287,6 +287,15 @@ class TestEvolve:
         with pytest.raises(GridError):
             stable_dt(f, params)
 
+    @pytest.mark.parametrize("entry", [lambda f, params: evolve(f, params, 1e-3), flow_rhs, stable_dt],
+                             ids=["evolve", "flow_rhs", "stable_dt"])
+    def test_spacing_whose_cfl_power_overflows_is_a_flow_error(self, entry):
+        # dx^(2k) in Python floats raised a bare OverflowError
+        f = ScalarField(smooth_field(0).values, 0.1, 1e100)
+        msg = "grid spacing 1e+100 along X2 is too large for the k=2 flow: its CFL bound's dx^4 overflows"
+        with pytest.raises(FlowError, match=f"^{re.escape(msg)}$"):
+            entry(f, FlowParams(axis=Axis.X2, k=2))
+
 
 # ---------------------------------------------------------------------------
 # Reference stepper: the ScalarField-based flow_rhs / stable_dt / evolve that
