@@ -4,8 +4,10 @@
 Usage: python scripts/bench_stages.py [--repeat N]
 
 Times, at n = 128, 90 angles, seed 7, jitter bound a = pi/18 and one BLAS
-thread: `radon_perturbed`, `fbp` of its sinogram, the fig5 flow (the
-[flow] settings of configs/fig5.cfg), `convex_step` with p = 2 and with
+thread: `radon_perturbed`, `fbp` of its sinogram, `fbp_pair` (one `fbp`
+call on that sinogram after the fig5 flow and on the sinogram itself: the
+corrected and uncorrected reconstructions of a fig5 run), the fig5 flow
+(the [flow] settings of configs/fig5.cfg), `convex_step` with p = 2 and with
 p = 1 on that sinogram (k = 1, q = 2, alpha = 1e-3, eps = 1e-3 * ptp^2),
 `iterate_k1p2q2` and `iterate_k1p2q1` (50 lagged iterations with the
 p = 2 settings, q = 2 and q = 1, stop_tol = 0), `iterate_k1p2q2_noisy`
@@ -15,7 +17,7 @@ convex step that solves every column), `block_assign_columns`
 with M = 10 and `jitter_correct_rows` with M = 5;
 `load_configs` (`load_config` of every shipped configs/*.cfg in turn, the
 parsing that the benchmark's config workloads do in their set-up);
-then `radon_perturbed` and `fbp` once more at the larger size n = 256,
+then `radon_perturbed`, `fbp` and `fbp_pair` once more at the larger size n = 256,
 180 angles (same seed and bound), printed with the suffix `_256x180`.
 The explicit flow stepper is timed on its own inputs: `fig2_flow` and
 `fig3_flow` evolve the input images of configs/fig2.cfg and fig3.cfg
@@ -190,14 +192,18 @@ def main(argv=None) -> int:
     if args.repeat < 1:
         ap.error("--repeat must be at least 1")
 
+    fig5 = load_config(os.path.join(ROOT, "configs", "fig5.cfg"))
+
     def tomo_stages(n, n_angles, suffix=""):
         ph = shepp_logan(n)
         angles = angle_grid(math.pi / n_angles)
         pert = sample_uniform_displacement(angles, A, SEED)
         sino = radon_perturbed(ph, angles, None, pert, 0.0, SEED)
+        pair = [sino.with_field(evolve(sino.field, fig5.flow, fig5.t_end).u), sino]
         return sino, {
             "radon_perturbed" + suffix: lambda: radon_perturbed(ph, angles, None, pert, 0.0, SEED),
             "fbp" + suffix: lambda: fbp(sino, n),
+            "fbp_pair" + suffix: lambda: fbp(pair, n),
         }
 
     sino, stages = tomo_stages(N, N_ANGLES)
@@ -205,7 +211,6 @@ def main(argv=None) -> int:
     angles = angle_grid(math.pi / N_ANGLES)
     pert, sigma = sample_uniform_displacement(angles, A, SEED), 0.01 * float(np.abs(v.values).max())
     noisy = radon_perturbed(shepp_logan(N), angles, None, pert, sigma, SEED).field
-    fig5 = load_config(os.path.join(ROOT, "configs", "fig5.cfg"))
     config_paths = sorted(glob.glob(os.path.join(ROOT, "configs", "*.cfg")))
     eps = 1e-3 * float(np.ptp(v.values)) ** 2
 

@@ -143,7 +143,7 @@ class ExperimentConfig:
             if not 0 <= getattr(self, key) < math.inf:
                 raise ConfigError(f"{key} must be non-negative and finite, got {getattr(self, key)}")
         for key, value, low in (("m_max", self.m_max, 1), ("n", self.n, MIN_SIZE),
-                                ("n_out", self.n_out, MIN_SIZE),
+                                ("n_out", self.n_out, MIN_SIZE), ("seed", self.seed, 0),
                                 ("m", self.M, int(self.correction == "assign"))):  # jitter: M >= 0
             if value < low:
                 raise ConfigError(f"{key} must be at least {low}, got {value}")
@@ -335,15 +335,17 @@ def _run_tomo_experiment(cfg: ExperimentConfig) -> tuple[MetricReport, dict]:
         artifacts.update({"sinogram_corrected.csv": corrected, "sinogram_corrected.pgm": corrected})
 
     bp_angles = angles + cfg.a / 2 if cfg.compensate else None
-    recon = fbp(
-        sino.with_field(corrected), cfg.n_out, cfg.filter, backproject_angles=bp_angles
-    )
+    sinos = [sino.with_field(corrected)]
+    if cfg.correction != "none":
+        sinos.append(sino)  # reconstructed too, in the same fbp call
+    recons = fbp(sinos, cfg.n_out, cfg.filter, backproject_angles=bp_angles)
+    recon = recons[0]
     artifacts.update({"recon.pgm": recon, "recon.csv": recon})
 
     ref = ph if cfg.n_out == cfg.n else shepp_logan(cfg.n_out, cfg.variant)
     extras = {}
     if cfg.correction != "none":
-        uncorrected = fbp(sino, cfg.n_out, cfg.filter, backproject_angles=bp_angles)
+        uncorrected = recons[1]
         artifacts["recon_uncorrected.pgm"] = uncorrected
         extras["rmse_uncorrected"] = metrics(uncorrected, ref).rmse
     return metrics(recon, ref, extras=extras), artifacts

@@ -146,56 +146,71 @@ def default_offsets(n: int, n_offsets: int | None = None) -> np.ndarray:
 # a chunk holds the samples of at most _BLOCK full rays: its buffers (32 x
 # 364 doubles each at n=128) stay in L2 cache while an angle is built
 _BLOCK = 32
-# samples built beyond each end of a ray's crossing of the support box, and
-# the box's extra width in pixels; both lie far above the rounding of a
-# sample position, so no sample that can read a nonzero pixel is skipped
+# samples built beyond each end of a ray's crossing of the support octagon,
+# and the octagon's extra width in pixels; both lie far above the rounding
+# of a sample position, so no sample that can read a nonzero pixel is skipped
 _MARGIN = 1
 _SLACK = 1e-6
 
 
-def _support_box(values: np.ndarray):
-    """Bounds (row lo, row hi, column lo, column hi) of the sample positions,
-    in pixel units, that can read a nonzero pixel; None if there are none.
+def _support_octagon(values: np.ndarray):
+    """Bounds (lo, hi) of fx, fy, fx + fy and fx - fy, in pixel units, of
+    the sample positions (fx, fy) that can read a nonzero pixel; None if
+    there are none.
 
     A sample at pixel position f = (x + 1) / px - 0.5 reads pixels floor(f)
-    and floor(f) + 1, so it reads row i only if f lies in [i - 1, i + 1):
-    the bounding box of the nonzero pixels, dilated by one pixel.  -0.0
-    counts as nonzero, so a row of -0.0 keeps its sign."""
-    support = (values != 0.0) | np.signbit(values)
-    rows = np.flatnonzero(support.any(axis=1))
-    cols = np.flatnonzero(support.any(axis=0))
-    if rows.size == 0:
+    and floor(f) + 1, so it reads pixel (i, j) only if fx lies in
+    [i - 1, i + 1) and fy in [j - 1, j + 1), and so fx + fy within 2 of
+    i + j and fx - fy within 2 of i - j: the bounds of i, j, i + j and
+    i - j over the nonzero pixels, dilated by 1, 1, 2 and 2.  -0.0 counts
+    as nonzero, so a row of -0.0 keeps its sign."""
+    i, j = np.nonzero((values != 0.0) | np.signbit(values))
+    if i.size == 0:
         return None
-    return (
-        rows[0] - 1 - _SLACK, rows[-1] + 1 + _SLACK,
-        cols[0] - 1 - _SLACK, cols[-1] + 1 + _SLACK,
-    )
+    return tuple((float(v.min()) - r - _SLACK, float(v.max()) + r + _SLACK)
+                 for v, r in ((i, 1), (j, 1), (i + j, 2), (i - j, 2)))
 
 
-def _slab(f0: np.ndarray, d: float, lo: float, hi: float):
-    """Bounds of the t with lo <= f0 + t*d <= hi, per entry of f0."""
-    if d == 0.0:
-        inside = (lo <= f0) & (f0 <= hi)
-        return np.where(inside, -np.inf, np.inf), np.where(inside, np.inf, -np.inf)
-    a, b = (lo - f0) / d, (hi - f0) / d
-    return (a, b) if d > 0 else (b, a)
+def _slab(f0: np.ndarray, d: np.ndarray, lo: float, hi: float):
+    """Bounds of the t with lo <= f0 + t*d <= hi, per entry of f0; d holds
+    one step per row of f0."""
+    with np.errstate(divide="ignore", invalid="ignore"):  # rows with d == 0 are set below
+        a, b = (lo - f0) / d, (hi - f0) / d
+    enter, leave = np.minimum(a, b), np.maximum(a, b)
+    flat = d[:, 0] == 0.0
+    if flat.any():
+        inside = (lo <= f0[flat]) & (f0[flat] <= hi)
+        enter[flat] = np.where(inside, -np.inf, np.inf)
+        leave[flat] = np.where(inside, np.inf, -np.inf)
+    return enter, leave
 
 
-def _ray_spans(box, c: float, s: float, offsets: np.ndarray, t: np.ndarray, px: float):
-    """First and end index into t of the samples of the rays at cos c and
-    sin s, one per offset, whose position lies in the support box (slab
-    method), widened by _MARGIN samples per end; first == end where none
-    does."""
+def _ray_spans(octagon, c: np.ndarray, s: np.ndarray, offsets: np.ndarray, t: np.ndarray,
+               px: float):
+    """First and end index into t of the samples of every ray, one row per
+    angle (cosines c, sines s) and one column per offset, whose position
+    lies in the support octagon (four slabs), widened by _MARGIN samples
+    per end; first == end where none does."""
     nt = t.size
-    if box is None:
-        none = np.zeros(offsets.size, dtype=np.intp)
+    if octagon is None:
+        none = np.zeros((c.size, offsets.size), dtype=np.intp)
         return none, none
-    # x = l cos - t sin, y = l sin + t cos
-    x0, x1 = _slab((offsets * c + 1.0) / px - 0.5, -s / px, box[0], box[1])
-    y0, y1 = _slab((offsets * s + 1.0) / px - 0.5, c / px, box[2], box[3])
+    c, s = c[:, None], s[:, None]
+    # fx = (x + 1) / px - 0.5 and fy = (y + 1) / px - 0.5, x = l cos - t sin, y = l sin + t cos
+    lines = (
+        ((offsets * c + 1.0) / px - 0.5, -s / px),  # fx
+        ((offsets * s + 1.0) / px - 0.5, c / px),  # fy
+        ((offsets * (c + s) + 2.0) / px - 1.0, (c - s) / px),  # fx + fy
+        (offsets * (c - s) / px, -(c + s) / px),  # fx - fy
+    )
+    enter, leave = _slab(*lines[0], *octagon[0])
+    for (f0, d), (lo, hi) in zip(lines[1:], octagon[1:]):
+        a, b = _slab(f0, d, lo, hi)
+        np.maximum(enter, a, out=enter)
+        np.minimum(leave, b, out=leave)
     h = t[1] - t[0]
-    first = np.ceil((np.maximum(x0, y0) - t[0]) / h) - _MARGIN
-    end = np.floor((np.minimum(x1, y1) - t[0]) / h) + 1 + _MARGIN
+    first = np.ceil((enter - t[0]) / h) - _MARGIN
+    end = np.floor((leave - t[0]) / h) + 1 + _MARGIN
     first = np.clip(first, 0, nt)
     return first.astype(np.intp), np.clip(end, first, nt).astype(np.intp)
 
@@ -204,21 +219,26 @@ def _project(f: ScalarField, angles: np.ndarray, offsets: np.ndarray) -> np.ndar
     """Ray-driven line integrals with bilinear interpolation; zero outside
     the image.
 
-    Only the samples that can read a nonzero pixel are built (_ray_spans);
-    every other sample reads four zeros with nonnegative weights, so its
-    value is exactly the 0.0 its table entry keeps.  The built samples
-    gather from a zero-padded copy of the image through flat indices, so a
-    neighbour outside [-1, 1]^2 reads 0.0 and no bounds mask is needed:
-    each built sample lies within _MARGIN ray steps (h / px <= 1/2 pixel
-    each) of the support box, which reaches one pixel past the image, so
-    a pad of 2 + ceil(_MARGIN * h / px) pixels holds all four of its
-    neighbours.  An angle's kept samples are built in flat chunks of at
-    most _BLOCK * nt, in buffers allocated once per call, and the four
-    corners are gathered from shifted views of the padded image.  Every
-    built sample goes through the same floating-point operations in the
-    same order as a masked gather, and the trapezoid sum runs once per
-    angle over the full table of all offsets and samples, so the clipping,
-    the zero padding and the chunking leave every line integral bitwise
+    Only the samples that can read a nonzero pixel are built: those of
+    each ray's stretch inside an octagon around the nonzero pixels, the
+    bounds of i, j, i + j and i - j (_support_octagon), widened by _MARGIN
+    samples per end.  Every angle's spans are found at once, in one pass
+    over (angles x offsets) arrays (_ray_spans).  Every other sample reads
+    four zeros with nonnegative weights, so its value is exactly the 0.0
+    its table entry keeps.  The built samples gather from a zero-padded
+    copy of the image through flat indices, so a neighbour outside
+    [-1, 1]^2 reads 0.0 and no bounds mask is needed: each built sample
+    lies within _MARGIN ray steps (h / px <= 1/2 pixel each) of the
+    octagon, which lies inside the support's bounding box dilated by one
+    pixel, so a pad of 2 + ceil(_MARGIN * h / px) pixels holds all four of
+    its neighbours.  An angle's kept samples are built in flat chunks of
+    at most _BLOCK * nt, in buffers allocated once per call, and the four
+    corners are gathered from shifted views of the padded image.  Each
+    angle's cosine and sine come from math.cos and math.sin.  Every built
+    sample goes through the same floating-point operations in the same
+    order as a masked gather, and the trapezoid sum runs once per angle
+    over the full table of all offsets and samples, so the clipping, the
+    zero padding and the chunking leave every line integral bitwise
     unchanged."""
     n = f.n1
     half = math.sqrt(2.0)
@@ -226,11 +246,16 @@ def _project(f: ScalarField, angles: np.ndarray, offsets: np.ndarray) -> np.ndar
     nt = int(math.ceil(2.0 * half / step)) + 1
     t = np.linspace(-half, half, nt)
     h = t[1] - t[0]
+    px = 2.0 / n
+    cos = [math.cos(th) for th in angles]
+    sin = [math.sin(th) for th in angles]
+    # the spans' temporaries are freed before the sample buffers are made
+    firsts, ends = _ray_spans(_support_octagon(f.values), np.array(cos), np.array(sin),
+                              offsets, t, px)
     rows = np.empty((len(angles), len(offsets)))
     wgt = np.full(nt, h)
     wgt[0] = wgt[-1] = 0.5 * h  # trapezoid rule
 
-    px = 2.0 / n
     pad = 2 + math.ceil(_MARGIN * h / px)
     m = n + 2 * pad
     padded = np.zeros((m, m))
@@ -239,7 +264,6 @@ def _project(f: ScalarField, angles: np.ndarray, offsets: np.ndarray) -> np.ndar
     # neighbours (i0, j0), (i0+1, j0), (i0, j0+1), (i0+1, j0+1) of flat index k
     g00, g10, g01, g11 = (flat[o:] for o in (0, m, 1, m + 1))
 
-    box = _support_box(f.values)
     nl = len(offsets)
     vals = np.zeros((nl, nt))
     table = vals.ravel()  # a view: vals is contiguous
@@ -248,13 +272,11 @@ def _project(f: ScalarField, angles: np.ndarray, offsets: np.ndarray) -> np.ndar
     kbuf = np.empty(cap, dtype=np.int64)
     ar = np.arange(cap)
     row_start = np.arange(nl) * nt  # flat index of each offset's table row
-    for j, th in enumerate(angles):
-        c, s = math.cos(th), math.sin(th)
+    for j, (c, s, first, end) in enumerate(zip(cos, sin, firsts, ends)):
         lc = offsets * c
         ls = offsets * s
         ts = t * s
         tc = t * c
-        first, end = _ray_spans(box, c, s, offsets, t, px)
         counts = end - first
         done = np.cumsum(counts)  # kept samples up to and with each offset
         vals.fill(0.0)
@@ -396,50 +418,68 @@ def _ramp_filter(n_pad: int, dl: float, kind: str) -> np.ndarray:
 
 
 def fbp(
-    s: Sinogram,
+    s: Sinogram | list[Sinogram],
     n_out: int,
     filter: str = "ram-lak",
     backproject_angles=None,
-) -> ScalarField:
-    """Filtered backprojection onto an n_out x n_out image on [-1, 1]^2.
+) -> ScalarField | list[ScalarField]:
+    """Filtered backprojection onto an n_out x n_out image on [-1, 1]^2: a
+    ScalarField for one Sinogram s, or a list of one per sinogram for a
+    sequence s of sinograms that share their angles and offsets.
 
     backproject_angles overrides the angle labels used during
     backprojection (they need not lie in [0, pi) or be ordered, but must
-    be finite); the default uses the sinogram's own labels.  Only the
+    be finite); the default uses the sinograms' own labels.  Only the
     pixels of the inscribed unit disk (the region covered by every
-    projection) are backprojected; the others are 0."""
+    projection) are backprojected; the others are 0.  Each sinogram is
+    filtered on its own.  Each angle's geometry (every pixel's offset
+    l = x cos + y sin, its interpolation index i0 and weight t) is
+    computed once and read by every sinogram's gathers, each into its own
+    accumulator, so a sinogram's reconstruction is bitwise the one it
+    gets alone."""
+    sinos = [s] if isinstance(s, Sinogram) else list(s)
     if n_out < MIN_SIZE:
         raise TomoError(f"output size must be at least {MIN_SIZE}")
     if filter not in FILTERS:
         raise TomoError(f"unknown filter {filter!r}")
-    if len(s.angles) < 2:
+    if not sinos:
+        raise TomoError("need at least one sinogram")
+    first = sinos[0]
+    for other in sinos[1:]:
+        if not (np.array_equal(other.angles, first.angles)
+                and np.array_equal(other.offsets, first.offsets)):
+            raise TomoError("sinograms must share their angles and offsets")
+    if len(first.angles) < 2:
         raise TomoError("need at least two angles for reconstruction")
     bp_angles = (
-        s.angles if backproject_angles is None else np.asarray(backproject_angles)
+        first.angles if backproject_angles is None else np.asarray(backproject_angles)
     )
-    if len(bp_angles) != len(s.angles):
+    if len(bp_angles) != len(first.angles):
         raise TomoError("backproject_angles length must match the angle count")
     if not np.isfinite(bp_angles).all():
         raise TomoError("backproject_angles must be finite")
-    rows = s.field.values
-    n_off = rows.shape[1]
+    n_off = first.offsets.size
     n_pad = 1 << int(math.ceil(math.log2(2 * n_off)))
-    H = _ramp_filter(n_pad, s.d_offset, filter)
-    filtered = np.fft.ifft(np.fft.fft(rows, n=n_pad, axis=1) * H[None, :], axis=1)
-    filtered = np.ascontiguousarray(filtered.real[:, :n_off])
+    H = _ramp_filter(n_pad, first.d_offset, filter)
+    filtered = [
+        np.ascontiguousarray(
+            np.fft.ifft(np.fft.fft(o.field.values, n=n_pad, axis=1) * H[None, :], axis=1)
+            .real[:, :n_off])
+        for o in sinos
+    ]
 
     c = (np.arange(n_out) + 0.5) * (2.0 / n_out) - 1.0
     c2 = c * c
     disk = c2[:, None] + c2[None, :] <= 1.0  # x^2 + y^2 <= 1, x along axis 0
     X, Y = (c[i] for i in np.nonzero(disk))  # only the disk's pixels
-    acc = np.zeros(X.size)
+    accs = [np.zeros(X.size) for _ in sinos]
     # per-angle buffers, filled in place by the operations of
     # acc += (1 - t) * row[i0] + t * row[i0 + 1] in their usual order
     fi, t, g = (np.empty(X.size) for _ in range(3))
     i0 = np.empty(X.size, dtype=np.int64)
-    l0 = s.offsets[0]
-    dl = s.d_offset
-    for row, th in zip(filtered, bp_angles):
+    l0 = first.offsets[0]
+    dl = first.d_offset
+    for j, th in enumerate(bp_angles):
         np.multiply(X, math.cos(th), out=fi)
         np.multiply(Y, math.sin(th), out=g)
         fi += g  # l = x cos + y sin
@@ -450,14 +490,20 @@ def fbp(
         np.clip(i0, 0, n_off - 2, out=i0)
         np.subtract(fi, i0, out=t)
         np.clip(t, 0.0, 1.0, out=t)
-        u = np.subtract(1, t, out=fi)  # fi is free once t is known
-        u *= row.take(i0, out=g)
-        i0 += 1
-        row.take(i0, out=g)
-        g *= t
-        u += g
-        acc += u
-    acc *= math.pi / len(s.angles)
-    out = np.zeros((n_out, n_out))
-    out[disk] = acc
-    return ScalarField(out, 2.0 / n_out, 2.0 / n_out)
+        for rows, acc in zip(filtered, accs):
+            row = rows[j]
+            # fi is free once t is known; 1 - t is formed per sinogram, as a
+            # fourth buffer to keep it in measured slower
+            u = np.subtract(1, t, out=fi)
+            u *= row.take(i0, out=g)
+            row[1:].take(i0, out=g)  # row[i0 + 1]
+            g *= t
+            u += g
+            acc += u
+    outs = []
+    for acc in accs:
+        acc *= math.pi / len(first.angles)
+        out = np.zeros((n_out, n_out))
+        out[disk] = acc
+        outs.append(ScalarField(out, 2.0 / n_out, 2.0 / n_out))
+    return outs[0] if isinstance(s, Sinogram) else outs

@@ -76,6 +76,13 @@ class TestSinogramVerbs:
         )
         assert not out.exists()
 
+    def test_perturb_negative_seed_is_one_line(self, tmp_path, capsys):
+        # numpy's "expected non-negative integer", raised at the draw
+        out = tmp_path / "p.csv"
+        assert run("perturb", "--n=32", "--a=0.1", "--seed=-1", f"--out={out}") == 1
+        assert capsys.readouterr().err == "dispflow: error: seed must be at least 0, got -1\n"
+        assert not out.exists()
+
 
 class TestFlowVerb:
     def test_flow_smooths(self, tmp_path):

@@ -104,6 +104,8 @@ class TestLoadConfig:
         ("correction = assign\n[discrete]\nm = 0\n", "m must be at least 1, got 0"),
         ("correction = jitter\n[discrete]\nm = -1\n", "m must be at least 0, got -1"),
         ("[image]\ndx1 = nan\n", "dx1 must be non-negative and finite, got nan"),
+        # failed at the draw, with numpy's message that names no setting
+        ("[tomo]\nseed = -1\n", "seed must be at least 0, got -1"),
         # each ran as another setting: k = 2, a spacing of 1/n, a flow that
         # moves nothing, or a strip whose FWHM reads nan
         ("[discrete]\nkorder = 3\n", "korder must be 1 or 2, got 3"),
@@ -122,7 +124,7 @@ class TestLoadConfig:
 
     def test_setting_range_ends_are_accepted(self):
         cfg = ExperimentConfig(input="strip", image_n=32, strip_width=30, n=16, korder=2,
-                               correction="jitter", M=0, dx1=0.0, dx2=1e300)
+                               correction="jitter", M=0, dx1=0.0, dx2=1e300, seed=0)
         assert (cfg.n_out, cfg.filter, cfg.variant) == (128, "ram-lak", "high-contrast")
         assert ExperimentConfig(input="strip", strip_width=1, correction="assign", M=1).M == 1
         assert ExperimentConfig(input="interface", strip_width=100).strip_width == 100  # unused

@@ -14,7 +14,7 @@ from dispflow.tomo import (
     _BLOCK,
     _project,
     _ray_spans,
-    _support_box,
+    _support_octagon,
     angle_count,
     angle_grid,
     default_offsets,
@@ -289,6 +289,53 @@ _CLIP_ANGLES = np.array([
 ])
 
 
+def _line(n, anti):
+    """A diagonal (i == j) or anti-diagonal (i + j == n - 1) line of pixels:
+    the octagon's corner cuts skip most of its bounding box."""
+    img = np.zeros((n, n))
+    i = np.arange(n)
+    img[i, n - 1 - i if anti else i] = 1.0 + i / n
+    return ScalarField(img, 2.0 / n, 2.0 / n)
+
+
+_LINE_IMAGES = {"diagonal": _line(_N_CLIP, False), "anti_diagonal": _line(_N_CLIP, True)}
+# exactly 0, and the angles whose rays run along or across the diagonals
+_DIAGONAL_ANGLES = np.array([0.0, math.pi / 4, -math.pi / 4, 3 * math.pi / 4, 5 * math.pi / 4])
+
+
+def _cos_sin(angles):
+    return (np.array([math.cos(th) for th in angles]),
+            np.array([math.sin(th) for th in angles]))
+
+
+def _box_spans(values, c, s, offsets, t, px):
+    """Reference span rule on the support box alone (the projector's rule
+    before the octagon): the bounding box of the nonzero pixels, dilated by
+    one pixel, crossed by each ray at cos c and sin s (slab method) and
+    widened by one sample per end."""
+    support = (values != 0.0) | np.signbit(values)
+    rows = np.flatnonzero(support.any(axis=1))
+    cols = np.flatnonzero(support.any(axis=0))
+    nt = t.size
+    if rows.size == 0:
+        none = np.zeros(offsets.size, dtype=np.intp)
+        return none, none
+
+    def slab(f0, d, lo, hi):
+        if d == 0.0:
+            inside = (lo <= f0) & (f0 <= hi)
+            return np.where(inside, -np.inf, np.inf), np.where(inside, np.inf, -np.inf)
+        a, b = (lo - f0) / d, (hi - f0) / d
+        return (a, b) if d > 0 else (b, a)
+
+    x0, x1 = slab((offsets * c + 1.0) / px - 0.5, -s / px, rows[0] - 1 - 1e-6, rows[-1] + 1 + 1e-6)
+    y0, y1 = slab((offsets * s + 1.0) / px - 0.5, c / px, cols[0] - 1 - 1e-6, cols[-1] + 1 + 1e-6)
+    h = t[1] - t[0]
+    first = np.clip(np.ceil((np.maximum(x0, y0) - t[0]) / h) - 1, 0, nt)
+    end = np.clip(np.floor((np.minimum(x1, y1) - t[0]) / h) + 2, first, nt)
+    return first.astype(np.intp), end.astype(np.intp)
+
+
 class TestSupportClipping:
     # "wide" also has offsets past the image diagonal, whose rays miss it
     @pytest.mark.parametrize("n_offsets", [None, _BLOCK - 1, _BLOCK + 1, "wide"])
@@ -304,22 +351,32 @@ class TestSupportClipping:
         assert np.array_equal(new, ref)
         assert np.array_equal(np.signbit(new), np.signbit(ref))
 
+    @pytest.mark.parametrize("n_offsets", [None, _BLOCK + 1])
+    @pytest.mark.parametrize("name", sorted(_LINE_IMAGES))
+    def test_octagon_clipped_lines_equal_masked_gather(self, name, n_offsets):
+        f = _LINE_IMAGES[name]
+        offsets = default_offsets(_N_CLIP, n_offsets)
+        new = _project(f, _DIAGONAL_ANGLES, offsets)
+        ref = _masked_project(f, _DIAGONAL_ANGLES, offsets)
+        assert np.array_equal(new, ref)
+        assert np.array_equal(np.signbit(new), np.signbit(ref))
+
     @pytest.mark.parametrize("name", ["pixel0_0", "pixel31_16", "negative_patch", "shepp_logan"])
     def test_spans_hold_every_nonzero_sample_and_a_zero_margin(self, name):
         # every sample outside a ray's span reads zero, and a span that does
         # not reach an end of the ray starts and ends on a zero sample: the
-        # margin of at least one sample beyond the support box
+        # margin of at least one sample beyond the support octagon
         f = _CLIP_IMAGES[name]
         n = _N_CLIP
         offsets = default_offsets(n)
         nt = int(math.ceil(2.0 * math.sqrt(2.0) * n)) + 1
         t = np.linspace(-math.sqrt(2.0), math.sqrt(2.0), nt)
-        box = _support_box(f.values)
+        octagon = _support_octagon(f.values)
         idx = np.arange(nt)
         skipped = 0
-        for th in _CLIP_ANGLES:
+        firsts, ends = _ray_spans(octagon, *_cos_sin(_CLIP_ANGLES), offsets, t, 2.0 / n)
+        for th, first, end in zip(_CLIP_ANGLES, firsts, ends):
             c, s = math.cos(th), math.sin(th)
-            first, end = _ray_spans(box, c, s, offsets, t, 2.0 / n)
             skipped += np.sum(nt - (end - first))
             x = offsets[:, None] * c - t[None, :] * s
             y = offsets[:, None] * s + t[None, :] * c
@@ -333,14 +390,35 @@ class TestSupportClipping:
                     assert vals[i, end[i] - 1] == 0.0
         assert skipped > 0  # the clipping skips samples
 
+    def test_octagon_spans_lie_inside_the_box_spans(self):
+        n = _N_CLIP
+        offsets = np.linspace(-3.0, 3.0, 41)  # rays that miss the image too
+        nt = int(math.ceil(2.0 * math.sqrt(2.0) * n)) + 1
+        t = np.linspace(-math.sqrt(2.0), math.sqrt(2.0), nt)
+        angles = np.concatenate([_CLIP_ANGLES, _DIAGONAL_ANGLES])
+        cos, sin = _cos_sin(angles)
+        for name, f in {**_CLIP_IMAGES, **_LINE_IMAGES}.items():
+            firsts, ends = _ray_spans(_support_octagon(f.values), cos, sin, offsets, t, 2.0 / n)
+            octagon_total = box_total = 0
+            for c, s, first, end in zip(cos, sin, firsts, ends):
+                box_first, box_end = _box_spans(f.values, c, s, offsets, t, 2.0 / n)
+                assert np.all(end - first <= box_end - box_first), name
+                kept = end > first
+                assert np.all(first[kept] >= box_first[kept]), name
+                assert np.all(end[kept] <= box_end[kept]), name
+                octagon_total += int(np.sum(end - first))
+                box_total += int(np.sum(box_end - box_first))
+            if name in ("shepp_logan", "diagonal", "anti_diagonal"):
+                assert octagon_total < box_total, name
+
     def test_negative_zero_pixels_count_as_support(self):
         # a -0.0 sample keeps its sign in the gather, so it must be built
         img = np.zeros((_N_CLIP, _N_CLIP))
         img[10:20, 12:15] = -0.0
         ones = np.zeros((_N_CLIP, _N_CLIP))
         ones[10:20, 12:15] = 1.0
-        assert _support_box(img) == _support_box(ones) is not None
-        assert _support_box(np.zeros((_N_CLIP, _N_CLIP))) is None
+        assert _support_octagon(img) == _support_octagon(ones) is not None
+        assert _support_octagon(np.zeros((_N_CLIP, _N_CLIP))) is None
 
 
 def _full_grid_fbp(s, n_out, filter="ram-lak", backproject_angles=None):
@@ -379,6 +457,34 @@ class TestDiskOnlyFBP:
         ref = _full_grid_fbp(s, n_out, backproject_angles=bp)
         assert np.array_equal(rec, ref)
         assert np.array_equal(np.signbit(rec), np.signbit(ref))
+
+    @pytest.mark.parametrize("n_out", [16, 65])
+    @pytest.mark.parametrize("override", [False, True], ids=["labels", "override"])
+    def test_two_sinograms_equal_two_single_calls(self, n_out, override):
+        # the run's corrected and raw sinograms: same angles and offsets
+        ph = shepp_logan(48)
+        pert = sample_uniform_displacement(ANGLES_90[::3], math.pi / 18, seed=2)
+        jittered = radon_perturbed(ph, ANGLES_90[::3], None, pert)
+        clean = radon(ph, ANGLES_90[::3])
+        bp = jittered.angles + pert.d if override else None
+        pair = fbp([jittered, clean], n_out, backproject_angles=bp)
+        assert len(pair) == 2
+        for s, rec in zip((jittered, clean), pair):
+            alone = fbp(s, n_out, backproject_angles=bp)
+            assert rec.values.tobytes() == alone.values.tobytes()
+            assert rec.values.tobytes() == _full_grid_fbp(s, n_out, backproject_angles=bp).tobytes()
+        (one,) = fbp((clean,), n_out, backproject_angles=bp)
+        assert one.values.tobytes() == pair[1].values.tobytes()
+
+    @pytest.mark.parametrize("other", ["angles", "offsets"])
+    def test_sinograms_with_other_geometry_are_one_line(self, other):
+        s = radon(shepp_logan(32), ANGLES_90[::3])
+        if other == "angles":
+            t = radon(shepp_logan(32), ANGLES_90[1::3])
+        else:
+            t = Sinogram(s.field, s.angles, 0.5 * s.offsets)
+        with pytest.raises(TomoError, match=r"^sinograms must share their angles and offsets$"):
+            fbp([s, t], 32)
 
 
 class TestAngleWrapping:
