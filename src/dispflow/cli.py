@@ -1,11 +1,14 @@
 """Command-line interface: one thin verb per module operation.
 
-Setting flags are the config keys of ``[tomo]`` or of a correction verb's
-stage, parsed, defaulted and checked by ``experiment.parse_config`` (README,
-"Command line"); correction verbs run ``experiment.correct_field`` and
-write ``--out``, then the optional diagnostic file.
-``perturb --a`` defaults to pi/18; ``fbp --angle-step`` and ``--compensate``
-are not config keys.
+Setting flags are config keys, built from the schema: ``--`` and the key
+with ``-`` for ``_``, but ``--m`` for ``[varsolve] m_max`` and ``--M`` for
+``[discrete] m``.  A tomography verb takes its ``[tomo]`` keys in
+``_TOMO_VERBS``, a correction verb every key of its stage's section
+(``experiment.CORRECTIONS``); ``experiment.parse_config`` parses, defaults
+and checks them (README, "Command line").  Correction verbs run
+``experiment.correct_field`` and write ``--out``, then the optional copy of
+the stage's diagnostic file.  ``perturb --a`` defaults to pi/18;
+``fbp --angle-step`` and ``--compensate`` are not config keys.
 
 Angles accept pi expressions (``--angle-step pi/90``).  Fields travel as
 .pgm (16-bit quantized) or .csv (lossless).  Sinogram files carry their
@@ -23,7 +26,16 @@ import sys
 
 import numpy as np
 
-from .experiment import correct_field, jittered_sinogram, load_config, parse_angle, parse_config, run_experiment
+from .experiment import (
+    _SCHEMA,
+    CORRECTIONS,
+    correct_field,
+    jittered_sinogram,
+    load_config,
+    parse_angle,
+    parse_config,
+    run_experiment,
+)
 from .fileio import read_image, write_image, write_text
 from .grid import ScalarField
 from .metrics import metrics
@@ -41,9 +53,22 @@ def _as_sinogram(field: ScalarField, angle_step: float | None) -> Sinogram:
     return Sinogram(field, np.arange(field.n1) * angle_step, default_offsets(field.n1, field.n2))
 
 
-def _add_flow_args(sp):
-    for flag in ("--axis", "--k", "--p", "--q", "--beta"):
-        sp.add_argument(flag)
+# the tomography verbs: their help and the [tomo] keys they take as flags
+_TOMO_VERBS = {
+    "phantom": ("write a Shepp-Logan phantom image", "n variant"),
+    "sinogram": ("Radon transform of --in, or of the --n phantom", "n variant angle_step"),
+    "perturb": ("Radon transform with jitter up to --a (default pi/18)", "n variant angle_step a noise seed"),
+    "fbp": ("filtered backprojection of a sinogram", "n_out filter"),
+}
+_RENAMED = {"m_max": "--m", "m": "--M"}  # [varsolve] m_max, [discrete] m
+
+
+def _add_settings(sp, section, keys):
+    """A flag per key of [section]: --key with - for _, but for _RENAMED."""
+    for key in keys:
+        # a command line names its own flow time; a config defaults it
+        sp.add_argument(_RENAMED.get(key, "--" + key.replace("_", "-")), dest=key,
+                        required=key == "t_end", help=f"[{section}] {key}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -54,68 +79,27 @@ def build_parser() -> argparse.ArgumentParser:
         # an absent flag is left out of the namespace: a setting takes the schema's default
         return sub.add_parser(name, help=helptext, argument_default=argparse.SUPPRESS)
 
-    sp = verb("phantom", "write a Shepp-Logan phantom image")
-    sp.add_argument("--n")
-    sp.add_argument("--variant")
-    sp.add_argument("--out", required=True)
-
-    sp = verb("sinogram", "Radon transform of an image")
-    sp.add_argument("--in", dest="infile")
-    sp.add_argument("--n", help="phantom size if no --in")
-    sp.add_argument("--variant")
-    sp.add_argument("--angle-step")
-    sp.add_argument("--out", required=True)
-
-    sp = verb("perturb", "Radon transform with angular jitter")
-    sp.add_argument("--n")
-    sp.add_argument("--variant")
-    sp.add_argument("--angle-step")
-    sp.add_argument("--a", default="pi/18", help="displacement bound")
-    sp.add_argument("--noise", help="Gaussian sigma as fraction of sinogram max")
-    sp.add_argument("--seed")
-    sp.add_argument("--out", required=True)
-
-    sp = verb("flow", "evolve a field under a nonlinear flow")
-    sp.add_argument("--in", dest="infile", required=True)
-    _add_flow_args(sp)
-    sp.add_argument("--cfl")
-    sp.add_argument("--t-end", required=True)
-    sp.add_argument("--out", required=True)
-    sp.add_argument("--residuals", dest="diagnostic", metavar="RESIDUALS",
-                    help="optional CSV of per-step ||rhs||_inf")
-
-    sp = verb("varsolve", "lagged convex iteration on a field")
-    sp.add_argument("--in", dest="infile", required=True)
-    _add_flow_args(sp)
-    sp.add_argument("--alpha")
-    sp.add_argument("--eps")
-    sp.add_argument("--m", dest="m_max", metavar="M")
-    sp.add_argument("--out", required=True)
-    sp.add_argument("--trace", dest="diagnostic", metavar="TRACE",
-                    help="optional CSV of the iteration trace")
-
-    for name, helptext in (
-        ("jitter", "correct integer row jitter by exhaustive search"),
-        ("assign", "reorder columns by greedy block assignment"),
-    ):
-        sp = verb(name, helptext)
-        sp.add_argument("--in", dest="infile", required=True)
-        sp.add_argument("--M", dest="m")
-        sp.add_argument("--korder")
+    tomo = {}
+    for name, (helptext, keys) in _TOMO_VERBS.items():
+        sp = tomo[name] = verb(name, helptext)
+        if name in ("sinogram", "fbp"):
+            sp.add_argument("--in", dest="infile", required=name == "fbp")
+        _add_settings(sp, "tomo", keys.split())
         sp.add_argument("--out", required=True)
-        sp.add_argument("--shifts", dest="diagnostic", metavar="SHIFTS",
-                        help="optional CSV of recovered shifts")
+    tomo["perturb"].set_defaults(a="pi/18")
+    tomo["fbp"].add_argument("--angle-step", dest="row_step", metavar="ANGLE_STEP",
+                             help="angle step of the sinogram rows (default: the file's first "
+                                  "spacing if round(pi / spacing) is its row count, else pi/n_rows)")
+    tomo["fbp"].add_argument("--compensate", dest="bp_shift", metavar="COMPENSATE",
+                             help="add this constant to every backprojection angle")
 
-    sp = verb("fbp", "filtered backprojection of a sinogram")
-    sp.add_argument("--in", dest="infile", required=True)
-    sp.add_argument("--n-out")
-    sp.add_argument("--filter")
-    sp.add_argument("--angle-step", dest="row_step", metavar="ANGLE_STEP",
-                    help="angle step of the sinogram rows (default: the file's first "
-                         "spacing if round(pi / spacing) is its row count, else pi/n_rows)")
-    sp.add_argument("--compensate", dest="bp_shift", metavar="COMPENSATE",
-                    help="add this constant to every backprojection angle")
-    sp.add_argument("--out", required=True)
+    for name, stage in CORRECTIONS.items():
+        sp = verb(name, stage.help)
+        sp.add_argument("--in", dest="infile", required=True)
+        _add_settings(sp, stage.section, _SCHEMA[stage.section])
+        sp.add_argument("--out", required=True)
+        sp.add_argument(stage.flag, dest="diagnostic", metavar=stage.flag[2:].upper(),
+                        help=f"optional copy of the experiment's {stage.diagnostic}")
 
     sp = verb("metrics", "compare two fields")
     sp.add_argument("--a", required=True, help="field under test")
@@ -149,9 +133,8 @@ def _dispatch(verb: str, kw: dict) -> int:
         return 0
 
     infile, out, diagnostic = kw.pop("infile", None), kw.pop("out"), kw.pop("diagnostic", None)
-    if verb in ("flow", "varsolve", "jitter", "assign"):
-        section = "discrete" if verb in ("jitter", "assign") else verb
-        cfg = parse_config({section: kw}, correction=verb)
+    if verb in CORRECTIONS:
+        cfg = parse_config({CORRECTIONS[verb].section: kw}, correction=verb)
         corrected, text = correct_field(cfg, read_image(infile))
         write_image(out, corrected)
         if diagnostic:

@@ -85,7 +85,25 @@ def parse_angle(text: str) -> float:
     return value
 
 
-_STAGES = ("none", "flow", "varsolve", "jitter", "assign")
+@dataclass(frozen=True)
+class Correction:
+    """A correction stage, which correct_field runs: the config section of
+    its settings, the file its diagnostic is written to, and its dispflow
+    verb's flag writing a copy of that file and help."""
+
+    section: str
+    diagnostic: str
+    flag: str
+    help: str
+
+
+_SHIFTS = ("discrete", "shifts.csv", "--shifts")
+CORRECTIONS = {
+    "flow": Correction("flow", "flow_residuals.csv", "--residuals", "evolve a field under a nonlinear flow"),
+    "varsolve": Correction("varsolve", "trace.csv", "--trace", "lagged convex iteration on a field"),
+    "jitter": Correction(*_SHIFTS, "correct integer row jitter by exhaustive search"),
+    "assign": Correction(*_SHIFTS, "reorder columns by greedy block assignment"),
+}
 _INPUTS = ("phantom", "strip", "interface")
 
 
@@ -103,7 +121,7 @@ class ExperimentConfig:
 
     name: str = _setting("experiment", "experiment")  # load_config: the file's stem
     input: str = _setting("experiment", "phantom")  # phantom | strip | interface
-    correction: str = _setting("experiment", "none")  # none | flow | varsolve | jitter | assign
+    correction: str = _setting("experiment", "none")  # none or a key of CORRECTIONS
     outdir: str = _setting("experiment", "out", echo=False)
     # tomography settings
     n: int = _setting("tomo", 128)
@@ -133,7 +151,7 @@ class ExperimentConfig:
     def __post_init__(self):
         # each check stands for a stage's failure on a setting the config can
         # name at load time, or for a setting run as another one
-        for what, value, names in (("correction stage", self.correction, _STAGES),
+        for what, value, names in (("correction stage", self.correction, ("none", *CORRECTIONS)),
                                    ("input kind", self.input, _INPUTS),
                                    ("phantom variant", self.variant, VARIANTS),
                                    ("filter", self.filter, FILTERS)):
@@ -144,9 +162,12 @@ class ExperimentConfig:
                 raise ConfigError(f"{key} must be non-negative and finite, got {getattr(self, key)}")
         for key, value, low in (("m_max", self.m_max, 1), ("n", self.n, MIN_SIZE),
                                 ("n_out", self.n_out, MIN_SIZE), ("seed", self.seed, 0),
-                                ("m", self.M, int(self.correction == "assign"))):  # jitter: M >= 0
+                                ("m", self.M, int(self.correction == "assign")),  # jitter: M >= 0
+                                ("[image] n", self.image_n, 2)):  # the interface divides by n - 1
             if value < low:
                 raise ConfigError(f"{key} must be at least {low}, got {value}")
+        if not math.isfinite(self.amplitude):
+            raise ConfigError(f"[image] amplitude must be finite, got {self.amplitude}")
         if self.korder not in (1, 2):
             raise ConfigError(f"korder must be 1 or 2, got {self.korder}")
         if self.input == "strip" and not 1 <= self.strip_width <= self.image_n - 2:
@@ -268,8 +289,7 @@ def _corrected(cfg: ExperimentConfig, f: ScalarField, artifacts: dict) -> Scalar
     """correct_field's field; its diagnostic, if any, joins artifacts."""
     out, diagnostic = correct_field(cfg, f)
     if diagnostic is not None:
-        name = {"flow": "flow_residuals.csv", "varsolve": "trace.csv"}.get(cfg.correction, "shifts.csv")
-        artifacts[name] = diagnostic
+        artifacts[CORRECTIONS[cfg.correction].diagnostic] = diagnostic
     return out
 
 

@@ -279,8 +279,8 @@ def evolve(
     builds no view and tests no flow setting.  A step runs the bound calls
     of the mobility and the rhs, max |rhs| (which must be finite), the CFL
     bound's calls and formula, and the update u += dt * rhs.  In those
-    calls a one-column X1 field's stencil boundary rows are one call in
-    Python floats (grid.diff_axis0_kernel).  The step scans u for
+    calls a one-column X1 field's first-difference boundary rows are one
+    call in Python floats (grid.diff_axis0_kernel).  The step scans u for
     non-finite samples only once the running bound
     max |u0| + sum(dt * max |rhs|) reaches SCAN_FROM: below it no sample
     can have overflowed, so a StabilityError comes at the step, and with

@@ -123,11 +123,11 @@ def diff_axis0_kernel(v: np.ndarray, dx: float, k: int, out: np.ndarray) -> list
     stencils at the two boundary samples (exact on polynomials of degree
     <= 2).  Both boundary rows are computed in one batched expression;
     x + (-c) * y == x - c * y exactly, so each keeps the operations and
-    their order of the scalar formula in the comments.  For a 1-D v that
-    expression is one call of that formula in Python floats, the same IEEE
-    operations on two samples (unless its divisor is 0, which numpy
-    divides by and Python does not).  The caller checks that axis 0 holds
-    at least 2k+1 samples.
+    their order of the scalar formula in the comments.  For a 1-D v and
+    k = 1 that expression is one call of that formula in Python floats,
+    the same IEEE operations on two samples (unless its divisor is 0,
+    which numpy divides by and Python does not).  The caller checks that
+    axis 0 holds at least 2k+1 samples.
     """
     n = v.shape[0]
     mid, ends = out[1:-1], out[:: n - 1]
@@ -154,15 +154,6 @@ def diff_axis0_kernel(v: np.ndarray, dx: float, k: int, out: np.ndarray) -> list
     h2, two, five, four = (np.array(c) for c in (dx * dx, 2.0, 5.0, 4.0))
     interior = [(mul, (two, v[1:-1], mid)), (sub, (v[2:], mid, mid)),
                 (add, (mid, v[:-2], mid)), (div, (mid, h2, mid))]
-    if v.ndim == 1 and h2 != 0:
-        head, tail, h2 = v[:4], v[-4:], float(h2)
-
-        def scalar_ends():
-            a, b, c, d = head.tolist()
-            w, x, y, z = tail.tolist()
-            out[0] = (2.0 * a - 5.0 * b + 4.0 * c - d) / h2
-            out[-1] = (2.0 * z - 5.0 * y + 4.0 * x - w) / h2
-        return interior + [(scalar_ends, ())]
     e, tmp = np.empty((2, 2) + v.shape[1:])
     p0, p1, p2, p3 = (row_pair(v, i, n - 1 - i) for i in range(4))
     return interior + [(mul, (two, p0, e)), (mul, (five, p1, tmp)), (sub, (e, tmp, e)),

@@ -436,7 +436,10 @@ def fbp(
     l = x cos + y sin, its interpolation index i0 and weight t) is
     computed once and read by every sinogram's gathers, each into its own
     accumulator, so a sinogram's reconstruction is bitwise the one it
-    gets alone."""
+    gets alone.
+
+    Every row is weighted pi / N, so the backprojection angles are assumed
+    evenly spaced: theta + a/2 is, the true jittered angles theta + d are not."""
     sinos = [s] if isinstance(s, Sinogram) else list(s)
     if n_out < MIN_SIZE:
         raise TomoError(f"output size must be at least {MIN_SIZE}")

@@ -1,7 +1,10 @@
+import argparse
+
 import numpy as np
 import pytest
 
-from dispflow.cli import main
+from dispflow.cli import build_parser, main
+from dispflow.experiment import _SCHEMA
 from dispflow.fileio import read_csv, read_image
 
 
@@ -148,8 +151,10 @@ class TestFlowVerb:
 
 # verb: (config section, the same settings as flags, diagnostic flag and file)
 CORRECTIONS = {
-    "flow": ("[flow]\naxis = X2\nk = 2\np = 1\nq = 1\nbeta = 1e-4\ncfl = 0.4\nt_end = 0.02\n",
-             ["--axis=X2", "--k=2", "--p=1", "--q=1", "--beta=1e-4", "--cfl=0.4", "--t-end=0.02"],
+    "flow": ("[flow]\naxis = X2\nk = 2\np = 1\nq = 1\nbeta = 1e-4\neps = 1e-3\ncfl = 0.4\n"
+             "t_end = 0.02\n",
+             ["--axis=X2", "--k=2", "--p=1", "--q=1", "--beta=1e-4", "--eps=1e-3", "--cfl=0.4",
+              "--t-end=0.02"],
              "--residuals", "flow_residuals.csv"),
     "varsolve": ("[varsolve]\naxis = X1\nk = 1\np = 2\nq = 1\nalpha = 0.5\neps = 1e-2\n"
                  "beta = 1e-5\nm_max = 5\n",
@@ -161,6 +166,45 @@ CORRECTIONS = {
     "assign": ("[discrete]\nm = 8\nkorder = 2\n", ["--M=8", "--korder=2"],
                "--shifts", "shifts.csv"),
 }
+
+
+# every verb's flags that are not config keys, with their dests
+OWN_FLAGS = {
+    "phantom": {"--out": "out"},
+    "sinogram": {"--in": "infile", "--out": "out"},
+    "perturb": {"--out": "out"},
+    "fbp": {"--in": "infile", "--out": "out", "--angle-step": "row_step", "--compensate": "bp_shift"},
+    "metrics": {"--a": "a", "--b": "b"},
+    "experiment": {"--config": "config", "--outdir": "outdir"},
+    **{verb: {"--in": "infile", "--out": "out", CORRECTIONS[verb][2]: "diagnostic"}
+       for verb in CORRECTIONS},
+}
+# the config keys each verb takes as flags
+SETTINGS = {
+    "phantom": ("tomo", ["n", "variant"]),
+    "sinogram": ("tomo", ["n", "variant", "angle_step"]),
+    "perturb": ("tomo", ["n", "variant", "angle_step", "a", "noise", "seed"]),
+    "fbp": ("tomo", ["n_out", "filter"]),
+    "flow": ("flow", list(_SCHEMA["flow"])),
+    "varsolve": ("varsolve", list(_SCHEMA["varsolve"])),
+    "jitter": ("discrete", list(_SCHEMA["discrete"])),
+    "assign": ("discrete", list(_SCHEMA["discrete"])),
+}
+
+
+class TestFlagsFollowTheSchema:
+    def test_every_verb_takes_its_keys_and_its_own_flags(self):
+        # flow had no --eps, though [flow] eps is a config key
+        sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        assert set(sub.choices) == set(OWN_FLAGS)
+        for verb, parser in sub.choices.items():
+            section, keys = SETTINGS.get(verb, (None, []))
+            expected = dict(OWN_FLAGS[verb])
+            for key in keys:
+                assert key in _SCHEMA[section]
+                expected[{"m_max": "--m", "m": "--M"}.get(key, "--" + key.replace("_", "-"))] = key
+            got = {flag: a.dest for a in parser._actions if a.dest != "help" for flag in a.option_strings}
+            assert got == expected, verb
 
 
 class TestCorrectionVerbsMatchExperiment:
@@ -368,6 +412,8 @@ class TestTopLevel:
         ("[image]\ndx1 = -0.1\n", "dx1 must be non-negative and finite, got -0.1"),
         ("[image]\ndx1 = nan\n", "dx1 must be non-negative and finite, got nan"),
         ("[image]\ndx1 = inf\n", "dx1 must be non-negative and finite, got inf"),
+        ("input = interface\n[image]\nn = 1\n", "[image] n must be at least 2, got 1"),
+        ("input = interface\n[image]\namplitude = nan\n", "[image] amplitude must be finite, got nan"),
         ("input = interface\ncorrection = flow\n[image]\nn = 2\n",
          "axis X1 has 2 samples, need at least 3 for the (k=1, p=2) flow along X1"),
         ("correction = assign\n[tomo]\nn = 32\nangle_step = pi/24\n[discrete]\nm = 200\n",

@@ -115,6 +115,12 @@ class TestLoadConfig:
          "strip_width must lie in [1, n - 2] = [1, 62], got 100"),
         ("input = strip\n[image]\nn = 32\nstrip_width = 0\n",
          "strip_width must lie in [1, n - 2] = [1, 30], got 0"),
+        # each failed in the interface image as "field contains non-finite
+        # values", after numpy's divide warning for n = 1
+        ("input = interface\n[image]\nn = 1\n", "[image] n must be at least 2, got 1"),
+        ("input = interface\n[image]\namplitude = nan\n", "[image] amplitude must be finite, got nan"),
+        ("input = interface\n[image]\namplitude = -inf\n",
+         "[image] amplitude must be finite, got -inf"),
     ])
     def test_setting_out_of_range(self, tmp_path, text, msg):
         p = tmp_path / "range.cfg"
@@ -128,6 +134,7 @@ class TestLoadConfig:
         assert (cfg.n_out, cfg.filter, cfg.variant) == (128, "ram-lak", "high-contrast")
         assert ExperimentConfig(input="strip", strip_width=1, correction="assign", M=1).M == 1
         assert ExperimentConfig(input="interface", strip_width=100).strip_width == 100  # unused
+        assert ExperimentConfig(input="interface", image_n=2, amplitude=-1.0).image_n == 2
 
     @pytest.mark.parametrize("step", ["0", "nan", "-0.1", "4", "inf", "5e-324", "1e-300"])
     def test_angle_step_without_two_angles(self, tmp_path, step):
