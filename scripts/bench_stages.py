@@ -67,7 +67,6 @@ import glob  # noqa: E402
 import json  # noqa: E402
 import math  # noqa: E402
 import statistics  # noqa: E402
-import subprocess  # noqa: E402
 import sys  # noqa: E402
 import time  # noqa: E402
 
@@ -92,6 +91,7 @@ from dispflow import (  # noqa: E402
 from dispflow.experiment import _interface_image, _strip_image, load_config  # noqa: E402
 from dispflow.grid import distinct_columns  # noqa: E402
 from dispflow.tomo import angle_grid  # noqa: E402
+from fresh import fresh_python  # noqa: E402
 
 N, N_ANGLES, SEED, A = 128, 90, 7, math.pi / 18
 LARGE_N, LARGE_ANGLES = 256, 180
@@ -154,8 +154,7 @@ SRC = os.path.dirname(os.path.dirname(os.path.abspath(dispflow.__file__)))
 def children(repeat: int, *cmd) -> list:
     """The whitespace-split output of repeat fresh interpreters running
     `python -c *cmd`, one after another."""
-    return [subprocess.run([sys.executable, "-c", *cmd], capture_output=True, text=True,
-                           check=True).stdout.split() for _ in range(repeat)]
+    return [fresh_python(["-c", *cmd]).split() for _ in range(repeat)]
 
 
 def step_runs() -> dict:

@@ -95,9 +95,13 @@ def read_pgm(path) -> ScalarField:
 
 
 def write_csv(path, f: ScalarField):
+    """The spacing header, then one line per row of f.values: the bytes of
+    np.savetxt(fh, f.values, delimiter=",", fmt="%.17g"), each row
+    formatted with one % of a row template."""
+    line = ",".join(["%.17g"] * f.values.shape[1]) + "\n"
     with open(path, "w") as fh:
         fh.write(f"# dispflow spacing {f.dx1!r} {f.dx2!r}\n")
-        np.savetxt(fh, f.values, delimiter=",", fmt="%.17g")
+        fh.writelines(line % tuple(row) for row in f.values.tolist())
 
 
 def read_csv(path) -> ScalarField:

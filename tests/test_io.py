@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -161,6 +163,28 @@ class TestCSV:
             pass
         write_csv(fh.name, f)
         assert np.array_equal(read_csv(fh.name).values, f.values)
+
+
+class TestCSVBytes:
+    # write_csv formats any float array, so a plain namespace stands in for
+    # a ScalarField where the values are not finite
+    @pytest.mark.parametrize(
+        "values",
+        [
+            np.array([[-0.0, 0.0, np.nan], [np.inf, -np.inf, 5e-324], [1e308, -1e308, 2.0]]),
+            np.array([[3.0, -7.0, 1e16, 0.1, 1.0 / 3.0]]),
+            np.array([[np.nan], [-0.0], [12345678901234567.0]]),
+            np.random.default_rng(2).standard_normal((9, 7)) * 10.0 ** np.arange(-3, 4),
+        ],
+        ids=["special", "one-row", "one-column", "random"],
+    )
+    def test_same_bytes_as_savetxt(self, tmp_path, values):
+        f = SimpleNamespace(values=values, dx1=0.1, dx2=2.0)
+        write_csv(tmp_path / "f.csv", f)
+        with open(tmp_path / "ref.csv", "w") as fh:
+            fh.write("# dispflow spacing 0.1 2.0\n")
+            np.savetxt(fh, values, delimiter=",", fmt="%.17g")
+        assert (tmp_path / "f.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
 class TestDispatch:

@@ -236,6 +236,16 @@ def _reference_case(n):
     return f, angles
 
 
+def _assert_matches_masked(new, ref, signs=True):
+    """The projector's contract: within 1e-12 of the largest |row| of the
+    masked reference (its sums run in another order), and, where signs,
+    with the reference's sign bits."""
+    assert new.shape == ref.shape
+    assert np.abs(new - ref).max() <= 1e-12 * np.abs(ref).max()
+    if signs:
+        assert np.array_equal(np.signbit(new), np.signbit(ref))
+
+
 class TestProjectorReference:
     @pytest.mark.parametrize("n_offsets", [None, 20])
     @pytest.mark.parametrize("n", [16, 33, 128])
@@ -243,7 +253,38 @@ class TestProjectorReference:
         f, angles = _reference_case(n)
         offsets = default_offsets(n, n_offsets)
         new = _project(f, angles, offsets)
-        assert np.array_equal(new, _masked_project(f, angles, offsets))
+        _assert_matches_masked(new, _masked_project(f, angles, offsets))
+
+    def test_large_image_matches_masked_gather(self):
+        f, angles = _reference_case(256)
+        offsets = default_offsets(256)
+        _assert_matches_masked(_project(f, angles, offsets), _masked_project(f, angles, offsets))
+
+    def test_spans_reaching_both_ray_ends_match_masked_gather(self):
+        # nonzero corner pixels: the rays through the corners keep their
+        # first and last samples, which the trapezoid rule weighs by half
+        n = 33
+        img = np.zeros((n, n))
+        img[[0, 0, -1, -1], [0, -1, 0, -1]] = [1.5, -2.0, 0.75, 3.0]
+        img[n // 2, n // 2] = 1.0
+        f = ScalarField(img, 2.0 / n, 2.0 / n)
+        offsets = np.linspace(-3.0, 3.0, 41)  # "wide": rays that miss the image too
+        angles = np.concatenate([_CLIP_ANGLES, _DIAGONAL_ANGLES])
+        nt = int(math.ceil(2.0 * math.sqrt(2.0) * n)) + 1
+        t = np.linspace(-math.sqrt(2.0), math.sqrt(2.0), nt)
+        firsts, ends = _ray_spans(_support_octagon(img), *_cos_sin(angles), offsets, t, 2.0 / n)
+        assert np.any((firsts == 0) & (ends > 0)) and np.any((ends == nt) & (firsts < nt))
+        _assert_matches_masked(_project(f, angles, offsets), _masked_project(f, angles, offsets))
+
+    def test_linear_in_the_image(self):
+        f, angles = _reference_case(33)
+        g = ScalarField(np.random.default_rng(5).uniform(-1.0, 3.0, (33, 33)), 2.0 / 33, 2.0 / 33)
+        offsets = default_offsets(33)
+        a, b = 0.7, -2.5
+        combined = _project(f.with_values(a * f.values + b * g.values), angles, offsets)
+        _assert_matches_masked(
+            combined, a * _project(f, angles, offsets) + b * _project(g, angles, offsets),
+            signs=False)
 
     # one offset, one full block, one row past it, two full blocks
     @pytest.mark.parametrize(
@@ -257,7 +298,7 @@ class TestProjectorReference:
             offsets = default_offsets(33, n_offsets)
         new = _project(f, angles, offsets)
         assert new.shape == (angles.size, n_offsets)
-        assert np.array_equal(new, _masked_project(f, angles, offsets))
+        _assert_matches_masked(new, _masked_project(f, angles, offsets))
 
 
 def _pixel(n, i, j):
@@ -347,9 +388,7 @@ class TestSupportClipping:
         else:
             offsets = default_offsets(_N_CLIP, n_offsets)
         new = _project(f, _CLIP_ANGLES, offsets)
-        ref = _masked_project(f, _CLIP_ANGLES, offsets)
-        assert np.array_equal(new, ref)
-        assert np.array_equal(np.signbit(new), np.signbit(ref))
+        _assert_matches_masked(new, _masked_project(f, _CLIP_ANGLES, offsets))
 
     @pytest.mark.parametrize("n_offsets", [None, _BLOCK + 1])
     @pytest.mark.parametrize("name", sorted(_LINE_IMAGES))
@@ -357,9 +396,7 @@ class TestSupportClipping:
         f = _LINE_IMAGES[name]
         offsets = default_offsets(_N_CLIP, n_offsets)
         new = _project(f, _DIAGONAL_ANGLES, offsets)
-        ref = _masked_project(f, _DIAGONAL_ANGLES, offsets)
-        assert np.array_equal(new, ref)
-        assert np.array_equal(np.signbit(new), np.signbit(ref))
+        _assert_matches_masked(new, _masked_project(f, _DIAGONAL_ANGLES, offsets))
 
     @pytest.mark.parametrize("name", ["pixel0_0", "pixel31_16", "negative_patch", "shepp_logan"])
     def test_spans_hold_every_nonzero_sample_and_a_zero_margin(self, name):
@@ -554,6 +591,20 @@ class TestPerturbation:
     def test_negative_displacement_rejected(self):
         with pytest.raises(TomoError):
             AngularPerturbation(np.array([-0.1, 0.0]), 0.2)
+
+    def test_nan_displacement_rejected(self):
+        # NaN failed both range comparisons and was accepted
+        with pytest.raises(TomoError, match=r"^displacements must lie in \[0, bound\]$"):
+            AngularPerturbation(np.array([0.1, math.nan]), 0.2)
+
+    @pytest.mark.parametrize("sigma", [-0.1, math.nan, math.inf])
+    def test_noise_sigma_not_non_negative_and_finite_rejected(self, sigma):
+        # NaN added no noise; inf failed later, in the ScalarField check
+        ph = shepp_logan(16)
+        pert = sample_uniform_displacement(ANGLES_90[:4], 0.0, seed=0)
+        msg = f"noise_sigma must be non-negative and finite, got {sigma}"
+        with pytest.raises(TomoError, match=f"^{re.escape(msg)}$"):
+            radon_perturbed(ph, ANGLES_90[:4], None, pert, sigma, 1)
 
     def test_zero_bound_matches_clean_radon(self):
         ph = shepp_logan(32)
